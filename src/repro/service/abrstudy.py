@@ -26,13 +26,12 @@ to the never-diffed sidecar.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.runner.chaos import POINT_WORKER_CELL, strike_from_env
-from repro.ioutil import atomic_write, sha256_hex
+from repro.core.runner import sweep
+from repro.ioutil import sha256_hex
 from repro.service.abr import (
     ABR_OUTCOMES,
     ABR_POLICIES,
@@ -52,13 +51,7 @@ from repro.service.session import (
     build_fleet,
     decode_received,
 )
-from repro.service.study import (
-    DEFAULT_SEEDS,
-    _canonical,
-    _cell_path,
-    _load_valid_cell,
-    _next_attempt,
-)
+from repro.service.study import DEFAULT_SEEDS, cell_wall
 from repro.transport.bandwidth import PROFILE_NAMES, PROFILES
 
 __all__ = [
@@ -371,16 +364,10 @@ def run_abr_cell(
     }
     if want_sessions:
         record["sessions"] = sessions
-    wall = {
-        "cell_id": cell.cell_id,
-        "backend": backend,
-        "jobs": jobs,
-        "wall_s": round(wall_s, 4),
-        "controller_wall_s": round(controller_wall_s, 6),
-        "sessions_per_wall_sec": round(report.delivered / wall_s, 2)
-        if wall_s else 0.0,
-    }
-    return record, wall
+    return record, cell_wall(
+        cell, backend, jobs, wall_s, report.delivered,
+        controller_wall_s=round(controller_wall_s, 6),
+    )
 
 
 def run_abr_sweep(
@@ -397,35 +384,15 @@ def run_abr_sweep(
     ladder: tuple | None = None,
 ) -> dict:
     """Run (or finish) an ABR sweep; returns the summary dict."""
-    run_dir = Path(run_dir)
-    cells = abr_grid_cells(ns, seeds, bandwidths, profiles, policies)
-    skipped = 0
-    wall_records = []
-    for cell in cells:
-        path = _cell_path(run_dir, cell)
-        if resume and _load_valid_cell(path) is not None:
-            skipped += 1
-            continue
-        attempt = _next_attempt(run_dir, cell)
-        # Chaos kill/spin drills strike here, exactly like study workers.
-        strike_from_env(POINT_WORKER_CELL, f"abrstudy:{cell.cell_id}/a{attempt}")
-        record, wall = run_abr_cell(cell, config, backend, jobs, ladder)
-        record["digest"] = sha256_hex(_canonical(record).encode("utf-8"))
-        atomic_write(path, _canonical(record))
-        wall_records.append(wall)
-    if wall_records:
-        atomic_write(
-            run_dir / "telemetry" / "wall.json",
-            _canonical(
-                {"schema": "repro-service-wall", "version": 1,
-                 "cells": wall_records}
-            ),
-        )
-    summary = summarize_abr(run_dir, ns, seeds, bandwidths, profiles, policies)
-    atomic_write(run_dir / "summary.json", _canonical(summary))
-    atomic_write(run_dir / "table.txt", render_abr_summary(summary) + "\n")
-    summary["skipped_cells"] = skipped
-    return summary
+    return sweep.run_grid(
+        "abrstudy", run_dir,
+        abr_grid_cells(ns, seeds, bandwidths, profiles, policies),
+        lambda cell: run_abr_cell(cell, config, backend, jobs, ladder),
+        lambda run_dir: summarize_abr(
+            run_dir, ns, seeds, bandwidths, profiles, policies
+        ),
+        render_abr_summary, resume,
+    )
 
 
 def summarize_abr(
@@ -433,21 +400,17 @@ def summarize_abr(
 ) -> dict:
     """Aggregate published cells into the quality-vs-provisioning curve,
     one row per (bandwidth, profile, policy) point."""
-    run_dir = Path(run_dir)
     rows = []
     missing: list[str] = []
     for bandwidth in bandwidths:
         for profile in profiles:
             for policy in policies:
-                records = []
-                for n in ns:
-                    for seed in seeds:
-                        cell = AbrCell(n, seed, bandwidth, profile, policy)
-                        record = _load_valid_cell(_cell_path(run_dir, cell))
-                        if record is None:
-                            missing.append(cell.cell_id)
-                            continue
-                        records.append(record)
+                records, absent = sweep.load_cells(
+                    run_dir,
+                    abr_grid_cells(ns, seeds, (bandwidth,), (profile,),
+                                   (policy,)),
+                )
+                missing += absent
                 if not records:
                     continue
                 k = len(records)

@@ -73,23 +73,22 @@ def execute_schedule(
     scheduled plan (the plain ``repro serve`` path, byte-identical to
     the pre-fault-plane behaviour).
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     work = _admitted_work(specs, schedule, recovery)
     with obs.span("service.fleet.execute", backend=backend, jobs=jobs,
                   sessions=len(work)):
-        if not work:
-            return {}
-        if backend == "serial" or (backend == "asyncio" and jobs <= 1):
-            results = [
-                execute_session(spec, mode, config, seed, blackout)
+        results = run_tasks(
+            [
+                (
+                    f"session-{spec.session_id}",
+                    _execute_session_task,
+                    (spec, mode, config, seed, blackout),
+                )
                 for spec, mode, seed, blackout in work
-            ]
-        elif backend == "asyncio":
-            results = asyncio.run(_run_asyncio(work, config, jobs))
-        else:
-            results = _run_fleet(work, config, jobs)
-    return {result.session_id: result for result in results}
+            ],
+            backend,
+            jobs,
+        )
+    return {result.session_id: result for result in results.values()}
 
 
 def run_tasks(
@@ -103,8 +102,13 @@ def run_tasks(
     module-level callable (picklable for the fleet backend) that is a
     pure function of its arguments, so every backend and job count
     produces the identical ``name -> result`` mapping.  The ABR study's
-    rendition deliveries go through here; ``execute_schedule`` remains
-    the session-shaped specialization.
+    rendition deliveries and :func:`execute_schedule`'s sessions both go
+    through here.
+
+    A fleet task that exhausts its retry ladder raises
+    ``QuarantinedTaskError`` out of the pool: the enclosing study cell
+    fails loudly and is recomputed on ``--resume`` -- never published
+    with holes.
     """
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
@@ -126,6 +130,11 @@ def run_tasks(
 async def _run_tasks_asyncio(
     tasks: list[tuple[str, "object", tuple]], jobs: int
 ) -> dict[str, object]:
+    """Event-loop multiplexing: tasks share a bounded thread pool.
+
+    The semaphore is the wall-clock analogue of the virtual-time encode
+    budget -- it bounds concurrency, never outcomes.
+    """
     loop = asyncio.get_running_loop()
     gate = asyncio.Semaphore(jobs)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -140,28 +149,6 @@ async def _run_tasks_asyncio(
     return dict(pairs)
 
 
-async def _run_asyncio(
-    work: list[_WorkItem], config: ServiceConfig, jobs: int
-) -> list[SessionResult]:
-    """Event-loop multiplexing: sessions share a bounded thread pool.
-
-    The semaphore is the wall-clock analogue of the virtual-time encode
-    budget -- it bounds concurrency, never outcomes.
-    """
-    loop = asyncio.get_running_loop()
-    gate = asyncio.Semaphore(jobs)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-
-        async def one(item: _WorkItem) -> SessionResult:
-            spec, mode, seed, blackout = item
-            async with gate:
-                return await loop.run_in_executor(
-                    pool, execute_session, spec, mode, config, seed, blackout
-                )
-
-        return list(await asyncio.gather(*(one(item) for item in work)))
-
-
 def _execute_session_task(
     spec: SessionSpec,
     mode: str,
@@ -171,31 +158,3 @@ def _execute_session_task(
 ) -> SessionResult:
     """Module-level task body so the supervised pool can pickle it."""
     return execute_session(spec, mode, config, channel_seed, blackout)
-
-
-def _run_fleet(
-    work: list[_WorkItem], config: ServiceConfig, jobs: int
-) -> list[SessionResult]:
-    """Supervised worker-fleet execution (crash-safe, chaos-retried).
-
-    A task that exhausts its retry ladder raises
-    ``QuarantinedTaskError`` out of the pool: the enclosing study cell
-    fails loudly and is recomputed on ``--resume`` -- never published
-    with holes.
-    """
-    from repro.core.runner.supervisor import SupervisedPool, WorkerBudget
-
-    pool = SupervisedPool(
-        max_workers=jobs,
-        budget=WorkerBudget(wall_s=120.0, heartbeat_s=30.0),
-    )
-    tasks = [
-        (
-            f"session-{spec.session_id}",
-            _execute_session_task,
-            (spec, mode, config, seed, blackout),
-        )
-        for spec, mode, seed, blackout in work
-    ]
-    results = pool.results_or_raise(tasks)
-    return [results[f"session-{spec.session_id}"] for spec, _, _, _ in work]

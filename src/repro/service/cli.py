@@ -30,7 +30,8 @@ Argument validation beyond what ``argparse`` types give us raises
 from __future__ import annotations
 
 import argparse
-from pathlib import Path
+
+from repro.core.runner import sweep
 
 __all__ = [
     "CliArgumentError",
@@ -54,36 +55,33 @@ def _check(condition: bool, message: str) -> None:
         raise CliArgumentError(message)
 
 
-def _runs_root(override: str | None, study: str = "serve") -> Path:
-    import os
+def _add_fleet_arguments(parser, default_ns: tuple[int, ...],
+                         pipelines: str) -> None:
+    """The fleet and backend flags every service study shares."""
+    from repro.service.backends import BACKENDS
 
-    if override:
-        return Path(override)
-    return Path(os.environ.get("REPRO_RUNS", ".repro-runs")) / study
+    parser.add_argument("--sessions", type=int, nargs="+", default=None,
+                        metavar="N",
+                        help="fleet size(s) "
+                             f"(default: {' '.join(map(str, default_ns))})")
+    parser.add_argument("--seed", type=int, nargs="+", default=[4],
+                        metavar="S", help="fleet seed(s) (default: 4)")
+    parser.add_argument("--backend", choices=BACKENDS, default="asyncio",
+                        help="execution backend (default: asyncio)")
+    parser.add_argument("--jobs", type=int, default=1, metavar="J",
+                        help=f"concurrent {pipelines} pipelines (default: 1)")
 
 
-def _export_telemetry(run_dir: Path) -> None:
-    """When REPRO_OBS is on, publish the run's spans and metrics."""
-    from repro import obs
-
-    if not obs.enabled():
-        return
-    from repro.obs.export import export_metrics_json, export_spans_jsonl
-
-    telemetry = run_dir / "telemetry"
-    export_spans_jsonl(telemetry / "trace.jsonl", obs.tracer().drain())
-    export_metrics_json(telemetry / "metrics.json", obs.registry().snapshot())
-    print(f"telemetry: {telemetry}")
+def _fleet_sizes(args, default: tuple[int, ...]) -> tuple[int, ...]:
+    """Check ``--jobs`` and ``--sessions``; returns the fleet sizes."""
+    _check(args.jobs >= 1, "--jobs must be >= 1")
+    ns = tuple(args.sessions) if args.sessions is not None else default
+    _check(all(n > 0 for n in ns), "--sessions must be positive")
+    return ns
 
 
 def serve_main(argv: list[str] | None = None) -> int:
-    from repro.service.backends import BACKENDS
-    from repro.service.study import (
-        DEFAULT_NS,
-        FULL_NS,
-        render_summary,
-        run_sweep,
-    )
+    from repro.service.study import DEFAULT_NS, FULL_NS, run_sweep
 
     parser = argparse.ArgumentParser(
         prog="repro serve",
@@ -93,68 +91,26 @@ def serve_main(argv: list[str] | None = None) -> int:
             "percentiles, delivered PSNR, and the served/degraded/shed mix."
         ),
     )
-    parser.add_argument("--sessions", type=int, nargs="+", default=None,
-                        metavar="N",
-                        help="fleet size(s) to study "
-                             f"(default: {' '.join(map(str, DEFAULT_NS))})")
-    parser.add_argument("--seed", type=int, nargs="+", default=[4],
-                        metavar="S", help="fleet seed(s) (default: 4)")
-    parser.add_argument("--backend", choices=BACKENDS, default="asyncio",
-                        help="execution backend (default: asyncio)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="J",
-                        help="concurrent session pipelines (default: 1)")
+    _add_fleet_arguments(parser, DEFAULT_NS, "session")
     parser.add_argument("--full", action="store_true",
                         help="include the 10k-session cell (slow)")
-    parser.add_argument("--runs-dir", default=None, metavar="DIR",
-                        help="runs root (default: $REPRO_RUNS or .repro-runs)")
-    parser.add_argument("--run-id", default="default", metavar="ID",
-                        help="run directory name (default: 'default')")
-    parser.add_argument("--resume", default=None, metavar="ID",
-                        help="resume a run: published cells are kept, "
-                             "missing/corrupt ones recompute")
-    parser.add_argument("--verify-complete", action="store_true",
-                        help="exit 1 unless every grid cell is published")
+    sweep.add_run_arguments(parser)
     args = parser.parse_args(argv)
 
     try:
-        _check(args.jobs >= 1, "--jobs must be >= 1")
-        if args.sessions is not None:
-            ns = tuple(args.sessions)
-            _check(all(n > 0 for n in ns), "--sessions must be positive")
-        else:
-            ns = FULL_NS if args.full else DEFAULT_NS
+        ns = _fleet_sizes(args, FULL_NS if args.full else DEFAULT_NS)
     except CliArgumentError as exc:
         print(f"error: {exc}")
         return 2
 
-    run_id = args.resume or args.run_id
-    run_dir = _runs_root(args.runs_dir) / run_id
-    summary = run_sweep(
-        run_dir,
-        ns=ns,
-        seeds=tuple(args.seed),
-        backend=args.backend,
-        jobs=args.jobs,
-        resume=args.resume is not None,
+    return sweep.run_from_cli(
+        "serve", "serve study", args,
+        lambda run_dir, resume: run_sweep(
+            run_dir, ns=ns, seeds=tuple(args.seed), backend=args.backend,
+            jobs=args.jobs, resume=resume,
+        ),
+        f", backend={args.backend}, jobs={args.jobs}",
     )
-    verb = "resumed" if args.resume else "ran"
-    n_cells = sum(row["cells"] for row in summary["rows"])
-    print(f"{verb} serve study '{run_id}': {n_cells} cells published "
-          f"({summary['skipped_cells']} reused, backend={args.backend}, "
-          f"jobs={args.jobs})")
-    print()
-    print(render_summary(summary))
-    print()
-    print(f"artifacts: {run_dir}")
-    _export_telemetry(run_dir)
-    if summary["missing_cells"]:
-        print(f"missing cells: {', '.join(summary['missing_cells'])}")
-        if args.verify_complete:
-            print("verify-complete FAILED")
-            return 1
-    elif args.verify_complete:
-        print("verify-complete passed: every grid cell is published")
-    return 0
 
 
 def abrstudy_main(argv: list[str] | None = None) -> int:
@@ -167,10 +123,8 @@ def abrstudy_main(argv: list[str] | None = None) -> int:
         DEFAULT_PROFILES,
         SMOKE_BANDWIDTHS_KBPS,
         SMOKE_PROFILES,
-        render_abr_summary,
         run_abr_sweep,
     )
-    from repro.service.backends import BACKENDS
     from repro.transport.bandwidth import PROFILE_NAMES
 
     parser = argparse.ArgumentParser(
@@ -183,11 +137,7 @@ def abrstudy_main(argv: list[str] | None = None) -> int:
             "(fixed / buffer / throughput / hybrid)."
         ),
     )
-    parser.add_argument("--sessions", type=int, nargs="+", default=None,
-                        metavar="N",
-                        help=f"fleet size(s) (default: {ABR_DEFAULT_N})")
-    parser.add_argument("--seed", type=int, nargs="+", default=[4],
-                        metavar="S", help="fleet seed(s) (default: 4)")
+    _add_fleet_arguments(parser, (ABR_DEFAULT_N,), "delivery")
     parser.add_argument("--bandwidth", type=int, nargs="+", default=None,
                         metavar="KBPS",
                         help="provisioned bandwidths in kbit/s (default: "
@@ -208,27 +158,13 @@ def abrstudy_main(argv: list[str] | None = None) -> int:
                              f"{ABR_SMOKE_N} sessions, bandwidths "
                              f"{' '.join(map(str, SMOKE_BANDWIDTHS_KBPS))}, "
                              f"profile {SMOKE_PROFILES[0]}")
-    parser.add_argument("--backend", choices=BACKENDS, default="asyncio",
-                        help="execution backend (default: asyncio)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="J",
-                        help="concurrent delivery pipelines (default: 1)")
-    parser.add_argument("--runs-dir", default=None, metavar="DIR",
-                        help="runs root (default: $REPRO_RUNS or .repro-runs)")
-    parser.add_argument("--run-id", default="default", metavar="ID",
-                        help="run directory name (default: 'default')")
-    parser.add_argument("--resume", default=None, metavar="ID",
-                        help="resume a run: published cells are kept, "
-                             "missing/corrupt ones recompute")
-    parser.add_argument("--verify-complete", action="store_true",
-                        help="exit 1 unless every grid cell is published")
+    sweep.add_run_arguments(parser)
     args = parser.parse_args(argv)
 
     try:
-        _check(args.jobs >= 1, "--jobs must be >= 1")
-        ns = tuple(args.sessions) if args.sessions is not None else (
-            (ABR_SMOKE_N,) if args.smoke else (ABR_DEFAULT_N,)
+        ns = _fleet_sizes(
+            args, (ABR_SMOKE_N,) if args.smoke else (ABR_DEFAULT_N,)
         )
-        _check(all(n > 0 for n in ns), "--sessions must be positive")
         bandwidths = tuple(args.bandwidth) if args.bandwidth is not None else (
             SMOKE_BANDWIDTHS_KBPS if args.smoke else DEFAULT_BANDWIDTHS_KBPS
         )
@@ -255,49 +191,24 @@ def abrstudy_main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}")
         return 2
 
-    run_id = args.resume or args.run_id
-    run_dir = _runs_root(args.runs_dir, "abrstudy") / run_id
-    summary = run_abr_sweep(
-        run_dir,
-        ns=ns,
-        seeds=tuple(args.seed),
-        bandwidths=bandwidths,
-        profiles=profiles,
-        policies=policies,
-        backend=args.backend,
-        jobs=args.jobs,
-        resume=args.resume is not None,
-        ladder=ladder,
+    return sweep.run_from_cli(
+        "abrstudy", "ABR study", args,
+        lambda run_dir, resume: run_abr_sweep(
+            run_dir, ns=ns, seeds=tuple(args.seed), bandwidths=bandwidths,
+            profiles=profiles, policies=policies, backend=args.backend,
+            jobs=args.jobs, resume=resume, ladder=ladder,
+        ),
+        f", backend={args.backend}, jobs={args.jobs}",
     )
-    verb = "resumed" if args.resume else "ran"
-    n_cells = sum(row["cells"] for row in summary["rows"])
-    print(f"{verb} ABR study '{run_id}': {n_cells} cells published "
-          f"({summary['skipped_cells']} reused, backend={args.backend}, "
-          f"jobs={args.jobs})")
-    print()
-    print(render_abr_summary(summary))
-    print()
-    print(f"artifacts: {run_dir}")
-    _export_telemetry(run_dir)
-    if summary["missing_cells"]:
-        print(f"missing cells: {', '.join(summary['missing_cells'])}")
-        if args.verify_complete:
-            print("verify-complete FAILED")
-            return 1
-    elif args.verify_complete:
-        print("verify-complete passed: every grid cell is published")
-    return 0
 
 
 def faultstudy_main(argv: list[str] | None = None) -> int:
-    from repro.service.backends import BACKENDS
     from repro.service.recovery import POLICY_LADDER
     from repro.service.study import (
         DEFAULT_INTENSITIES,
         FAULT_DEFAULT_N,
         FAULT_SMOKE_N,
         SMOKE_INTENSITIES,
-        render_fault_summary,
         run_fault_sweep,
     )
 
@@ -310,11 +221,7 @@ def faultstudy_main(argv: list[str] | None = None) -> int:
             "(none / retry / retry_breaker / full)."
         ),
     )
-    parser.add_argument("--sessions", type=int, nargs="+", default=None,
-                        metavar="N",
-                        help=f"fleet size(s) (default: {FAULT_DEFAULT_N})")
-    parser.add_argument("--seed", type=int, nargs="+", default=[4],
-                        metavar="S", help="fleet seed(s) (default: 4)")
+    _add_fleet_arguments(parser, (FAULT_DEFAULT_N,), "session")
     parser.add_argument("--intensity", type=float, nargs="+", default=None,
                         metavar="I",
                         help="fault intensities in [0, 1] (default: "
@@ -326,27 +233,13 @@ def faultstudy_main(argv: list[str] | None = None) -> int:
                         help="CI smoke grid: "
                              f"{FAULT_SMOKE_N} sessions, intensities "
                              f"{' '.join(map(str, SMOKE_INTENSITIES))}")
-    parser.add_argument("--backend", choices=BACKENDS, default="asyncio",
-                        help="execution backend (default: asyncio)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="J",
-                        help="concurrent session pipelines (default: 1)")
-    parser.add_argument("--runs-dir", default=None, metavar="DIR",
-                        help="runs root (default: $REPRO_RUNS or .repro-runs)")
-    parser.add_argument("--run-id", default="default", metavar="ID",
-                        help="run directory name (default: 'default')")
-    parser.add_argument("--resume", default=None, metavar="ID",
-                        help="resume a run: published cells are kept, "
-                             "missing/corrupt ones recompute")
-    parser.add_argument("--verify-complete", action="store_true",
-                        help="exit 1 unless every grid cell is published")
+    sweep.add_run_arguments(parser)
     args = parser.parse_args(argv)
 
     try:
-        _check(args.jobs >= 1, "--jobs must be >= 1")
-        ns = tuple(args.sessions) if args.sessions is not None else (
-            (FAULT_SMOKE_N,) if args.smoke else (FAULT_DEFAULT_N,)
+        ns = _fleet_sizes(
+            args, (FAULT_SMOKE_N,) if args.smoke else (FAULT_DEFAULT_N,)
         )
-        _check(all(n > 0 for n in ns), "--sessions must be positive")
         intensities = tuple(args.intensity) if args.intensity is not None else (
             SMOKE_INTENSITIES if args.smoke else DEFAULT_INTENSITIES
         )
@@ -357,33 +250,12 @@ def faultstudy_main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}")
         return 2
 
-    run_id = args.resume or args.run_id
-    run_dir = _runs_root(args.runs_dir, "faultstudy") / run_id
-    summary = run_fault_sweep(
-        run_dir,
-        ns=ns,
-        seeds=tuple(args.seed),
-        intensities=intensities,
-        policies=policies,
-        backend=args.backend,
-        jobs=args.jobs,
-        resume=args.resume is not None,
+    return sweep.run_from_cli(
+        "faultstudy", "fault study", args,
+        lambda run_dir, resume: run_fault_sweep(
+            run_dir, ns=ns, seeds=tuple(args.seed), intensities=intensities,
+            policies=policies, backend=args.backend, jobs=args.jobs,
+            resume=resume,
+        ),
+        f", backend={args.backend}, jobs={args.jobs}",
     )
-    verb = "resumed" if args.resume else "ran"
-    n_cells = sum(row["cells"] for row in summary["rows"])
-    print(f"{verb} fault study '{run_id}': {n_cells} cells published "
-          f"({summary['skipped_cells']} reused, backend={args.backend}, "
-          f"jobs={args.jobs})")
-    print()
-    print(render_fault_summary(summary))
-    print()
-    print(f"artifacts: {run_dir}")
-    _export_telemetry(run_dir)
-    if summary["missing_cells"]:
-        print(f"missing cells: {', '.join(summary['missing_cells'])}")
-        if args.verify_complete:
-            print("verify-complete FAILED")
-            return 1
-    elif args.verify_complete:
-        print("verify-complete passed: every grid cell is published")
-    return 0

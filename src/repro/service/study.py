@@ -18,20 +18,19 @@ cell is a pure function of its grid coordinates and the config --
 latencies are *virtual* milliseconds from the deterministic scheduler
 and recovery timeline, never wall-clock -- so two runs, a run and its
 ``--resume``, and runs at different ``--jobs``/backends are
-byte-identical.  Cells are published atomically with content digests;
-wall-clock throughput (which *does* vary run to run) goes to a
-separate, never-diffed telemetry sidecar.
+byte-identical.  :mod:`repro.core.runner.sweep` publishes the cells
+atomically with content digests; wall-clock throughput (which *does*
+vary run to run) goes to a separate, never-diffed telemetry sidecar.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.runner.chaos import POINT_WORKER_CELL, strike_from_env
-from repro.ioutil import atomic_write, sha256_hex
+from repro.core.runner import sweep
+from repro.ioutil import sha256_hex
 from repro.obs.metrics import Histogram
 from repro.service.backends import execute_schedule
 from repro.service.config import DEFAULT_CONFIG, ServiceConfig
@@ -233,46 +232,21 @@ def run_cell(
     }
     if want_sessions:
         record["sessions"] = sessions
-    wall = {
+    return record, cell_wall(cell, backend, jobs, wall_s, admitted)
+
+
+def cell_wall(cell, backend: str, jobs: int, wall_s: float, sessions: int,
+              **extra) -> dict:
+    """A service cell's wall-clock telemetry: the sidecar record that
+    stays out of the cell's own record."""
+    return {
         "cell_id": cell.cell_id,
         "backend": backend,
         "jobs": jobs,
         "wall_s": round(wall_s, 4),
-        "sessions_per_wall_sec": round(admitted / wall_s, 2) if wall_s else 0.0,
+        "sessions_per_wall_sec": round(sessions / wall_s, 2) if wall_s else 0.0,
+        **extra,
     }
-    return record, wall
-
-
-def _canonical(record: dict) -> str:
-    return json.dumps(record, indent=2, sort_keys=True) + "\n"
-
-
-def _cell_path(run_dir: Path, cell: ServeCell) -> Path:
-    return run_dir / "cells" / f"{cell.cell_id}.json"
-
-
-def _load_valid_cell(path: Path) -> dict | None:
-    """A previously published cell record, or None if absent/corrupt."""
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    digest = payload.pop("digest", None)
-    if digest != sha256_hex(_canonical(payload).encode("utf-8")):
-        return None
-    return payload
-
-
-def _next_attempt(run_dir: Path, cell: ServeCell) -> int:
-    """Persisted per-cell attempt counter (chaos draws vary per attempt)."""
-    marker = run_dir / "cells" / f"{cell.cell_id}.attempt"
-    try:
-        attempt = int(marker.read_text()) + 1
-    except (OSError, ValueError):
-        attempt = 1
-    marker.parent.mkdir(parents=True, exist_ok=True)
-    marker.write_text(str(attempt))
-    return attempt
 
 
 def grid_cells(ns, seeds) -> list[ServeCell]:
@@ -289,51 +263,21 @@ def run_sweep(
     resume: bool = False,
 ) -> dict:
     """Run (or finish) a scale sweep; returns the summary dict."""
-    run_dir = Path(run_dir)
-    cells = grid_cells(ns, seeds)
-    skipped = 0
-    wall_records = []
-    for cell in cells:
-        path = _cell_path(run_dir, cell)
-        if resume and _load_valid_cell(path) is not None:
-            skipped += 1
-            continue
-        attempt = _next_attempt(run_dir, cell)
-        # Chaos kill/spin drills strike here, exactly like study workers.
-        strike_from_env(POINT_WORKER_CELL, f"serve:{cell.cell_id}/a{attempt}")
-        record, wall = run_cell(cell, config, backend, jobs)
-        record["digest"] = sha256_hex(_canonical(record).encode("utf-8"))
-        atomic_write(path, _canonical(record))
-        wall_records.append(wall)
-    if wall_records:
-        atomic_write(
-            run_dir / "telemetry" / "wall.json",
-            _canonical(
-                {"schema": "repro-service-wall", "version": 1,
-                 "cells": wall_records}
-            ),
-        )
-    summary = summarize(run_dir, ns, seeds)
-    atomic_write(run_dir / "summary.json", _canonical(summary))
-    atomic_write(run_dir / "table.txt", render_summary(summary) + "\n")
-    summary["skipped_cells"] = skipped
-    return summary
+    return sweep.run_grid(
+        "serve", run_dir, grid_cells(ns, seeds),
+        lambda cell: run_cell(cell, config, backend, jobs),
+        lambda run_dir: summarize(run_dir, ns, seeds),
+        render_summary, resume,
+    )
 
 
 def summarize(run_dir: str | Path, ns, seeds) -> dict:
     """Aggregate published cells into the per-N scale curve."""
-    run_dir = Path(run_dir)
     rows = []
     missing: list[str] = []
     for n in ns:
-        records = []
-        for seed in seeds:
-            cell = ServeCell(n, seed)
-            record = _load_valid_cell(_cell_path(run_dir, cell))
-            if record is None:
-                missing.append(cell.cell_id)
-                continue
-            records.append(record)
+        records, absent = sweep.load_cells(run_dir, grid_cells((n,), seeds))
+        missing += absent
         if not records:
             continue
         k = len(records)
@@ -573,16 +517,10 @@ def run_fault_cell(
     }
     if want_sessions:
         record["sessions"] = sessions
-    wall = {
-        "cell_id": cell.cell_id,
-        "backend": backend,
-        "jobs": jobs,
-        "wall_s": round(wall_s, 4),
-        "recovery_wall_s": round(recovery_wall_s, 6),
-        "sessions_per_wall_sec": round(recovery.delivered / wall_s, 2)
-        if wall_s else 0.0,
-    }
-    return record, wall
+    return record, cell_wall(
+        cell, backend, jobs, wall_s, recovery.delivered,
+        recovery_wall_s=round(recovery_wall_s, 6),
+    )
 
 
 def run_fault_sweep(
@@ -597,37 +535,15 @@ def run_fault_sweep(
     resume: bool = False,
 ) -> dict:
     """Run (or finish) a fault-intensity sweep; returns the summary."""
-    run_dir = Path(run_dir)
-    cells = fault_grid_cells(ns, seeds, intensities, policies)
-    skipped = 0
-    wall_records = []
-    for cell in cells:
-        path = _cell_path(run_dir, cell)
-        if resume and _load_valid_cell(path) is not None:
-            skipped += 1
-            continue
-        attempt = _next_attempt(run_dir, cell)
-        # Chaos kill/spin drills strike here, exactly like study workers.
-        strike_from_env(
-            POINT_WORKER_CELL, f"faultstudy:{cell.cell_id}/a{attempt}"
-        )
-        record, wall = run_fault_cell(cell, config, backend, jobs)
-        record["digest"] = sha256_hex(_canonical(record).encode("utf-8"))
-        atomic_write(path, _canonical(record))
-        wall_records.append(wall)
-    if wall_records:
-        atomic_write(
-            run_dir / "telemetry" / "wall.json",
-            _canonical(
-                {"schema": "repro-service-wall", "version": 1,
-                 "cells": wall_records}
-            ),
-        )
-    summary = summarize_faults(run_dir, ns, seeds, intensities, policies)
-    atomic_write(run_dir / "summary.json", _canonical(summary))
-    atomic_write(run_dir / "table.txt", render_fault_summary(summary) + "\n")
-    summary["skipped_cells"] = skipped
-    return summary
+    return sweep.run_grid(
+        "faultstudy", run_dir,
+        fault_grid_cells(ns, seeds, intensities, policies),
+        lambda cell: run_fault_cell(cell, config, backend, jobs),
+        lambda run_dir: summarize_faults(
+            run_dir, ns, seeds, intensities, policies
+        ),
+        render_fault_summary, resume,
+    )
 
 
 def summarize_faults(
@@ -635,20 +551,14 @@ def summarize_faults(
 ) -> dict:
     """Aggregate published cells into the availability-vs-intensity
     curve, one row per (intensity, policy) rung."""
-    run_dir = Path(run_dir)
     rows = []
     missing: list[str] = []
     for intensity in intensities:
         for policy in policies:
-            records = []
-            for n in ns:
-                for seed in seeds:
-                    cell = FaultCell(n, seed, intensity, policy)
-                    record = _load_valid_cell(_cell_path(run_dir, cell))
-                    if record is None:
-                        missing.append(cell.cell_id)
-                        continue
-                    records.append(record)
+            records, absent = sweep.load_cells(
+                run_dir, fault_grid_cells(ns, seeds, (intensity,), (policy,))
+            )
+            missing += absent
             if not records:
                 continue
             k = len(records)

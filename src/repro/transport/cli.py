@@ -12,15 +12,8 @@
 from __future__ import annotations
 
 import argparse
-from pathlib import Path
 
-
-def _runs_root(override: str | None) -> Path:
-    import os
-
-    if override:
-        return Path(override)
-    return Path(os.environ.get("REPRO_RUNS", ".repro-runs")) / "resilience"
+from repro.core.runner import sweep
 
 
 def resilience_main(argv: list[str] | None = None) -> int:
@@ -30,7 +23,6 @@ def resilience_main(argv: list[str] | None = None) -> int:
         RESILIENCE_CONFIGS,
         SMOKE_LOSSES,
         SMOKE_SEEDS,
-        render_summary,
         run_sweep,
     )
 
@@ -41,13 +33,6 @@ def resilience_main(argv: list[str] | None = None) -> int:
             "RVLC / FEC configurations through a seeded burst-loss channel."
         ),
     )
-    parser.add_argument("--runs-dir", default=None, metavar="DIR",
-                        help="runs root (default: $REPRO_RUNS or .repro-runs)")
-    parser.add_argument("--run-id", default="default", metavar="ID",
-                        help="run directory name (default: 'default')")
-    parser.add_argument("--resume", default=None, metavar="ID",
-                        help="resume a run: published cells are kept, "
-                             "missing/corrupt ones recompute")
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized grid (~50 seeded loss cases), "
                              "no counter traces")
@@ -56,8 +41,7 @@ def resilience_main(argv: list[str] | None = None) -> int:
                              + ", ".join(RESILIENCE_CONFIGS))
     parser.add_argument("--no-trace", action="store_true",
                         help="skip memory-hierarchy counter traces")
-    parser.add_argument("--verify-complete", action="store_true",
-                        help="exit 1 unless every grid cell is published")
+    sweep.add_run_arguments(parser)
     args = parser.parse_args(argv)
 
     configs = None
@@ -69,35 +53,14 @@ def resilience_main(argv: list[str] | None = None) -> int:
                   f"choose from {', '.join(RESILIENCE_CONFIGS)}")
             return 2
 
-    run_id = args.resume or args.run_id
-    run_dir = _runs_root(args.runs_dir) / run_id
-    losses = SMOKE_LOSSES if args.smoke else DEFAULT_LOSSES
-    seeds = SMOKE_SEEDS if args.smoke else DEFAULT_SEEDS
-    summary = run_sweep(
-        run_dir,
-        losses=losses,
-        seeds=seeds,
-        configs=configs,
-        resume=args.resume is not None,
-        trace_counters=not (args.smoke or args.no_trace),
+    return sweep.run_from_cli(
+        "resilience", "resilience sweep", args,
+        lambda run_dir, resume: run_sweep(
+            run_dir,
+            losses=SMOKE_LOSSES if args.smoke else DEFAULT_LOSSES,
+            seeds=SMOKE_SEEDS if args.smoke else DEFAULT_SEEDS,
+            configs=configs,
+            resume=resume,
+            trace_counters=not (args.smoke or args.no_trace),
+        ),
     )
-    verb = "resumed" if args.resume else "ran"
-    n_cells = sum(
-        point["cells"]
-        for per_loss in summary["curves"].values()
-        for point in per_loss.values()
-    )
-    print(f"{verb} resilience sweep '{run_id}': {n_cells} cells published "
-          f"({summary['skipped_cells']} reused)")
-    print()
-    print(render_summary(summary))
-    print()
-    print(f"artifacts: {run_dir}")
-    if summary["missing_cells"]:
-        print(f"missing cells: {', '.join(summary['missing_cells'])}")
-        if args.verify_complete:
-            print("verify-complete FAILED")
-            return 1
-    elif args.verify_complete:
-        print("verify-complete passed: every grid cell is published")
-    return 0

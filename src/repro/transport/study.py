@@ -9,23 +9,21 @@ Reproducibility contract: every cell is a pure function of
 ``(config, loss_rate, seed)`` -- the channel replays from the seed, the
 codec is deterministic, artifacts carry content digests and no
 timestamps -- so two runs (or a run and its ``--resume``) are
-byte-identical.  Cells are published atomically one file at a time,
-which is what makes the kill-and-resume chaos drill safe: a killed run
-leaves only whole cells, and resume recomputes the rest.
+byte-identical.  :mod:`repro.core.runner.sweep` publishes cells
+atomically one file at a time, which is what makes the kill-and-resume
+chaos drill safe: a killed run leaves only whole cells, and resume
+recomputes the rest.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from repro.codec import CodecConfig, VopDecoder, VopEncoder
 from repro.codec.errors import BitstreamError
 from repro.core.machines import SGI_ONYX2
-from repro.core.runner.chaos import POINT_WORKER_CELL, strike_from_env
-from repro.ioutil import atomic_write, sha256_hex
+from repro.core.runner import sweep
 from repro.transport.pipeline import TransportConfig, transmit_stream
 from repro.video.quality import psnr
 from repro.video.synthesis import SceneSpec, SyntheticScene
@@ -217,38 +215,6 @@ def run_cell(
     return record
 
 
-def _canonical(record: dict) -> str:
-    return json.dumps(record, indent=2, sort_keys=True) + "\n"
-
-
-def _cell_path(run_dir: Path, cell: ResilienceCell) -> Path:
-    return run_dir / "cells" / f"{cell.cell_id}.json"
-
-
-def _load_valid_cell(path: Path) -> dict | None:
-    """A previously published cell record, or None if absent/corrupt."""
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    digest = payload.pop("digest", None)
-    if digest != sha256_hex(_canonical(payload).encode("utf-8")):
-        return None
-    return payload
-
-
-def _next_attempt(run_dir: Path, cell: ResilienceCell) -> int:
-    """Persisted per-cell attempt counter (chaos draws vary per attempt)."""
-    marker = run_dir / "cells" / f"{cell.cell_id}.attempt"
-    try:
-        attempt = int(marker.read_text()) + 1
-    except (OSError, ValueError):
-        attempt = 1
-    marker.parent.mkdir(parents=True, exist_ok=True)
-    marker.write_text(str(attempt))
-    return attempt
-
-
 def grid_cells(losses, seeds, configs=None) -> list[ResilienceCell]:
     names = list(configs) if configs is not None else list(RESILIENCE_CONFIGS)
     return [
@@ -273,19 +239,10 @@ def run_sweep(
     (the traced decode is an order of magnitude slower than a plain one,
     and the counters are seed-independent in shape).
     """
-    run_dir = Path(run_dir)
-    cells = grid_cells(losses, seeds, configs)
     encoded_cache: dict[str, bytes] = {}
-    skipped = 0
     first_seed = min(seeds) if seeds else 0
-    for cell in cells:
-        path = _cell_path(run_dir, cell)
-        if resume and _load_valid_cell(path) is not None:
-            skipped += 1
-            continue
-        attempt = _next_attempt(run_dir, cell)
-        # Chaos kill/spin drills strike here, exactly like study workers.
-        strike_from_env(POINT_WORKER_CELL, f"{cell.cell_id}/a{attempt}")
+
+    def run_one(cell: ResilienceCell) -> tuple[dict, None]:
         if cell.config not in encoded_cache:
             encoded_cache[cell.config] = _encode(RESILIENCE_CONFIGS[cell.config])
         record = run_cell(
@@ -293,31 +250,27 @@ def run_sweep(
             encoded=encoded_cache[cell.config],
             trace_counters=trace_counters and cell.seed == first_seed,
         )
-        record["digest"] = sha256_hex(_canonical(record).encode("utf-8"))
-        atomic_write(path, _canonical(record))
-    summary = summarize(run_dir, losses, seeds, configs)
-    atomic_write(run_dir / "summary.json", _canonical(summary))
-    summary["skipped_cells"] = skipped
-    return summary
+        return record, None
+
+    return sweep.run_grid(
+        "resilience", run_dir, grid_cells(losses, seeds, configs), run_one,
+        lambda run_dir: summarize(run_dir, losses, seeds, configs),
+        render_summary, resume,
+    )
 
 
 def summarize(run_dir: str | Path, losses, seeds, configs=None) -> dict:
     """Aggregate published cells into PSNR-vs-loss and recovery curves."""
-    run_dir = Path(run_dir)
     curves: dict = {}
     missing: list[str] = []
     names = list(configs) if configs is not None else list(RESILIENCE_CONFIGS)
     for name in names:
         per_loss = {}
         for loss in losses:
-            records = []
-            for seed in seeds:
-                cell = ResilienceCell(name, loss, seed)
-                record = _load_valid_cell(_cell_path(run_dir, cell))
-                if record is None:
-                    missing.append(cell.cell_id)
-                    continue
-                records.append(record)
+            records, absent = sweep.load_cells(
+                run_dir, grid_cells((loss,), seeds, (name,))
+            )
+            missing += absent
             if not records:
                 continue
             dropped = sum(r["transport"]["n_dropped"] for r in records)

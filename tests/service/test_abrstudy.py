@@ -1,8 +1,9 @@
-"""ABR-study acceptance: cells, sweeps, backends, chaos drill, CLI.
+"""ABR-study acceptance: cells, sweeps, backends, CLI.
 
 The acceptance contract of ``python -m repro abrstudy``: published
 tables are byte-identical across repeat runs, backends, ``--jobs``
-counts, ``--resume``, and a chaos kill-and-resume drill -- and at the
+counts, ``--resume``, and a chaos kill-and-resume drill (in
+``tests/core/runner/test_sweep.py``) -- and at the
 pinned seed, 5% mean loss, and the 3-step bandwidth-drop profile the
 hybrid ABR policy beats the fixed-rendition baseline on both rebuffer
 ratio and shed count at equal provisioned bandwidth.
@@ -11,14 +12,9 @@ ratio and shed count at equal provisioned bandwidth.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from repro.core.runner.chaos import POINT_WORKER_CELL, PROFILES, ChaosInjector
 from repro.obs.schema import validate_abrstudy, validate_file
 from repro.service.abr import ABR_POLICY_LADDER
 from repro.service.abrstudy import (
@@ -34,25 +30,9 @@ from repro.service.abrstudy import (
 )
 from repro.service.cli import abrstudy_main
 
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
-
-
 @pytest.fixture(autouse=True)
 def no_ambient_chaos(monkeypatch):
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
-
-
-def read_artifacts(run_dir: Path) -> dict[str, bytes]:
-    """Deterministic artifact bytes (telemetry + attempt counters excluded)."""
-    artifacts = {}
-    for path in sorted(run_dir.rglob("*")):
-        if not path.is_file() or path.suffix == ".attempt":
-            continue
-        relative = path.relative_to(run_dir)
-        if relative.parts[0] == "telemetry":
-            continue
-        artifacts[str(relative)] = path.read_bytes()
-    return artifacts
 
 
 class TestRunAbrCell:
@@ -157,12 +137,12 @@ class TestRunAbrSweep:
             policies=self.POLICIES, **kw
         )
 
-    def test_repeat_runs_byte_identical(self, tmp_path):
+    def test_repeat_runs_byte_identical(self, tmp_path, read_artifacts):
         self.sweep(tmp_path / "a")
         self.sweep(tmp_path / "b")
         assert read_artifacts(tmp_path / "a") == read_artifacts(tmp_path / "b")
 
-    def test_jobs_and_backend_invariance(self, tmp_path):
+    def test_jobs_and_backend_invariance(self, tmp_path, read_artifacts):
         self.sweep(tmp_path / "serial", backend="serial", jobs=1)
         self.sweep(tmp_path / "async4", backend="asyncio", jobs=4)
         self.sweep(tmp_path / "fleet2", backend="fleet", jobs=2)
@@ -170,7 +150,7 @@ class TestRunAbrSweep:
         assert read_artifacts(tmp_path / "async4") == reference
         assert read_artifacts(tmp_path / "fleet2") == reference
 
-    def test_resume_reuses_published_cells(self, tmp_path):
+    def test_resume_reuses_published_cells(self, tmp_path, read_artifacts):
         first = self.sweep(tmp_path / "run")
         assert first["skipped_cells"] == 0
         before = read_artifacts(tmp_path / "run")
@@ -224,65 +204,6 @@ class TestRunAbrSweep:
         assert all("controller_wall_s" in c for c in wall["cells"])
 
 
-def _seed_killing_first_attempt(key: str) -> int:
-    """A chaos seed that kills attempt 1 at ``key`` but spares attempt 2."""
-    for seed in range(1, 500):
-        injector = ChaosInjector(seed, PROFILES["kills"])
-        if (
-            injector.fault_at(POINT_WORKER_CELL, f"{key}/a1") == "kill"
-            and injector.fault_at(POINT_WORKER_CELL, f"{key}/a2") is None
-        ):
-            return seed
-    raise AssertionError("no suitable chaos seed found")
-
-
-class TestAbrstudyChaosDrill:
-    """Kill-and-resume: a SIGKILLed ABR study finishes bit-identically."""
-
-    N = 12
-
-    def abrstudy(self, tmp_path, run_id, *args, chaos=None, resume=False):
-        env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
-        env.pop("REPRO_CHAOS", None)
-        env.pop("REPRO_OBS", None)
-        if chaos is not None:
-            env["REPRO_CHAOS"] = chaos
-        command = [
-            sys.executable, "-m", "repro", "abrstudy",
-            "--sessions", str(self.N), "--seed", "4",
-            "--bandwidth", "36", "--profile", "step_drop",
-            "--policy", "hybrid", "--runs-dir", str(tmp_path),
-        ]
-        command += ["--resume", run_id] if resume else ["--run-id", run_id]
-        return subprocess.run(
-            command + list(args), env=env, capture_output=True, text=True,
-            timeout=180,
-        )
-
-    def test_kill_and_resume_is_bit_identical(self, tmp_path):
-        clean = self.abrstudy(tmp_path, "clean", "--verify-complete")
-        assert clean.returncode == 0, clean.stderr
-
-        key = f"abrstudy:n{self.N}+s4+b36+step_drop+hybrid"
-        chaos = f"{_seed_killing_first_attempt(key)}:kills"
-        struck = self.abrstudy(tmp_path, "drill", chaos=chaos)
-        assert struck.returncode != 0  # SIGKILLed mid-sweep
-
-        for _ in range(6):
-            finished = self.abrstudy(
-                tmp_path, "drill", "--verify-complete", chaos=chaos,
-                resume=True,
-            )
-            if finished.returncode == 0:
-                break
-        assert finished.returncode == 0, finished.stderr
-        assert "verify-complete passed" in finished.stdout
-
-        assert read_artifacts(tmp_path / "drill") == read_artifacts(
-            tmp_path / "clean"
-        )
-
-
 class TestAbrstudyCli:
     def run(self, tmp_path, *args):
         return abrstudy_main(
@@ -292,7 +213,7 @@ class TestAbrstudyCli:
         )
 
     def test_acceptance_twice_identical_and_jobs_invariant(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, read_artifacts
     ):
         assert self.run(tmp_path, "--run-id", "a") == 0
         assert self.run(tmp_path, "--run-id", "b") == 0

@@ -1,22 +1,18 @@
-"""Study-layer tests: cells, sweeps, resume, chaos drill, CLI acceptance.
+"""Study-layer tests: cells, sweeps, resume, CLI acceptance.
 
 The acceptance contract of ``python -m repro serve``: the published
 study artifacts are a pure function of ``(--sessions, --seed)`` -- byte
 for byte identical across repeat runs, ``--jobs`` counts, backends, and
-a chaos-killed run finished with ``--resume``.
+a chaos-killed run finished with ``--resume`` (the kill-and-resume
+drill is ``tests/core/runner/test_sweep.py``).
 """
 
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from repro.core.runner.chaos import POINT_WORKER_CELL, PROFILES, ChaosInjector
 from repro.service.cli import serve_main
 from repro.service.config import DEFAULT_CONFIG
 from repro.service.study import (
@@ -29,25 +25,10 @@ from repro.service.study import (
     summarize,
 )
 
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
-
 
 @pytest.fixture(autouse=True)
 def no_ambient_chaos(monkeypatch):
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
-
-
-def read_artifacts(run_dir: Path) -> dict[str, bytes]:
-    """Deterministic artifact bytes (telemetry + attempt counters excluded)."""
-    artifacts = {}
-    for path in sorted(run_dir.rglob("*")):
-        if not path.is_file() or path.suffix == ".attempt":
-            continue
-        relative = path.relative_to(run_dir)
-        if relative.parts[0] == "telemetry":
-            continue
-        artifacts[str(relative)] = path.read_bytes()
-    return artifacts
 
 
 class TestRunCell:
@@ -114,12 +95,12 @@ class TestRunSweep:
     def sweep(self, run_dir, **kw):
         return run_sweep(run_dir, ns=self.NS, seeds=self.SEEDS, **kw)
 
-    def test_repeat_runs_byte_identical(self, tmp_path):
+    def test_repeat_runs_byte_identical(self, tmp_path, read_artifacts):
         self.sweep(tmp_path / "a")
         self.sweep(tmp_path / "b")
         assert read_artifacts(tmp_path / "a") == read_artifacts(tmp_path / "b")
 
-    def test_jobs_and_backend_invariance(self, tmp_path):
+    def test_jobs_and_backend_invariance(self, tmp_path, read_artifacts):
         self.sweep(tmp_path / "serial", backend="serial", jobs=1)
         self.sweep(tmp_path / "async1", backend="asyncio", jobs=1)
         self.sweep(tmp_path / "async4", backend="asyncio", jobs=4)
@@ -127,7 +108,7 @@ class TestRunSweep:
         assert read_artifacts(tmp_path / "async1") == reference
         assert read_artifacts(tmp_path / "async4") == reference
 
-    def test_resume_reuses_published_cells(self, tmp_path):
+    def test_resume_reuses_published_cells(self, tmp_path, read_artifacts):
         first = self.sweep(tmp_path / "run")
         assert first["skipped_cells"] == 0
         before = read_artifacts(tmp_path / "run")
@@ -163,70 +144,13 @@ class TestRunSweep:
         assert wall["cells"][0]["cell_id"] == "n10+s4"
 
 
-def _seed_killing_first_attempt(key: str) -> int:
-    """A chaos seed that kills attempt 1 at ``key`` but spares attempt 2."""
-    for seed in range(1, 500):
-        injector = ChaosInjector(seed, PROFILES["kills"])
-        if (
-            injector.fault_at(POINT_WORKER_CELL, f"{key}/a1") == "kill"
-            and injector.fault_at(POINT_WORKER_CELL, f"{key}/a2") is None
-        ):
-            return seed
-    raise AssertionError("no suitable chaos seed found")
-
-
-class TestChaosDrill:
-    """Kill-and-resume: a SIGKILLed study finishes bit-identically."""
-
-    N = 12
-
-    def serve(self, tmp_path, run_id, *args, chaos=None, resume=False):
-        env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
-        env.pop("REPRO_CHAOS", None)
-        env.pop("REPRO_OBS", None)
-        if chaos is not None:
-            env["REPRO_CHAOS"] = chaos
-        command = [
-            sys.executable, "-m", "repro", "serve",
-            "--sessions", str(self.N), "--seed", "4",
-            "--runs-dir", str(tmp_path),
-        ]
-        command += ["--resume", run_id] if resume else ["--run-id", run_id]
-        return subprocess.run(
-            command + list(args), env=env, capture_output=True, text=True,
-            timeout=180,
-        )
-
-    def test_kill_and_resume_is_bit_identical(self, tmp_path):
-        clean = self.serve(tmp_path, "clean", "--verify-complete")
-        assert clean.returncode == 0, clean.stderr
-
-        chaos = f"{_seed_killing_first_attempt(f'serve:n{self.N}+s4')}:kills"
-        struck = self.serve(tmp_path, "drill", chaos=chaos)
-        assert struck.returncode != 0  # SIGKILLed mid-sweep
-
-        for _ in range(6):
-            finished = self.serve(
-                tmp_path, "drill", "--verify-complete", chaos=chaos,
-                resume=True,
-            )
-            if finished.returncode == 0:
-                break
-        assert finished.returncode == 0, finished.stderr
-        assert "verify-complete passed" in finished.stdout
-
-        assert read_artifacts(tmp_path / "drill") == read_artifacts(
-            tmp_path / "clean"
-        )
-
-
 class TestServeCli:
     def run(self, tmp_path, *args):
         return serve_main(
             ["--runs-dir", str(tmp_path), "--backend", "serial", *args]
         )
 
-    def test_acceptance_32_sessions_twice_identical(self, tmp_path, capsys):
+    def test_acceptance_32_sessions_twice_identical(self, tmp_path, capsys, read_artifacts):
         """ISSUE acceptance: serve --sessions 32 --seed 4, twice, byte-
         identical tables; and --jobs 1 vs --jobs 4 agree."""
         assert self.run(tmp_path, "--sessions", "32", "--seed", "4",
