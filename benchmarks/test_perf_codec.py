@@ -32,9 +32,12 @@ RESULT_PATH = REPO_ROOT / "BENCH_codec.json"
 #: much on encode (measured ~14x; the floor leaves slack for slow CI).
 MIN_ENCODE_SPEEDUP = 3.0
 
-#: Decode is dominated by bit-serial VLC parsing either way; batching
-#: the reconstruction must at least not regress it.
-MIN_DECODE_SPEEDUP = 0.9
+#: Both engines share the table-driven parse, so the decode speedup is
+#: the batched engine's one reconstruction pass per VOP against per-MB
+#: reconstruction (1.4-2.9x over five runs on a 2-vCPU Xeon KVM guest
+#: whose speed drifts).  The floor fails if reconstruction slips back to
+#: small per-row batches, which measured 1.02-1.14x there.
+MIN_DECODE_SPEEDUP = 1.15
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +68,8 @@ class TestCodecPerfSmoke:
         assert "REPRO_CODEC_ENGINE" in metadata["engine_knobs"]
 
     def test_decode_vlc_parse_share_recorded(self, record):
-        """The decode story: bit-serial VLC parse share, the baseline any
-        future native bit-reader must move."""
+        """The decode split: the table-driven VLC parse's share, the
+        baseline a native bit-reader would have to move."""
         stages = record["decode_stages"]
         assert "codec.decode.vlc_parse" in stages
         assert 0.0 < stages["codec.decode.vlc_parse"] <= 1.0

@@ -119,10 +119,10 @@ def run_codec_benchmark(
 def decode_stage_shares(data: bytes) -> dict:
     """Per-stage share of one traced decode pass over ``data``.
 
-    The decode story this repo keeps re-finding (and the paper frames as
-    the MPEG-specific bottleneck) is the bit-serial VLC parse; recording
-    its share as a named benchmark field gives the planned C bit-reader
-    a before/after baseline in ``BENCH_codec.json``.
+    Decode splits into the sequential VLC parse (the entropy decode the
+    paper frames as the MPEG-specific bottleneck) and reconstruction;
+    recording both shares as named benchmark fields gives any change to
+    either a before/after baseline in ``BENCH_codec.json``.
     """
     from repro import obs
     from repro.obs.report import aggregate_stages, roots_total_ns

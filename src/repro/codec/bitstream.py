@@ -111,11 +111,21 @@ class BitWriter:
 
 
 class BitReader:
-    """MSB-first bit source with startcode scanning."""
+    """MSB-first bit source with startcode scanning.
+
+    Every field is one ``int.from_bytes`` over the bytes it spans plus a
+    shift and a mask, so a read costs the same for 1 bit or 32.  Errors
+    keep the positions a bit-serial reader reports: a fixed-length field
+    that runs past the end raises at its first bit and consumes nothing,
+    while a variable-length code (Exp-Golomb, or a table VLC via
+    :meth:`consume_code`) cut off by the end raises at the stream end,
+    where a bit-at-a-time decode would have stopped.
+    """
 
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0  # bit position
+        self._n_bits = len(data) * 8
 
     @property
     def data(self) -> bytes:
@@ -128,38 +138,70 @@ class BitReader:
 
     @property
     def bits_remaining(self) -> int:
-        return len(self._data) * 8 - self._pos
+        return self._n_bits - self._pos
 
     def read_bits(self, n_bits: int) -> int:
-        if n_bits < 0:
-            raise ValueError("n_bits must be non-negative")
-        if n_bits > self.bits_remaining:
+        pos = self._pos
+        end = pos + n_bits
+        if n_bits <= 0 or end > self._n_bits:
+            if n_bits < 0:
+                raise ValueError("n_bits must be non-negative")
+            if n_bits == 0:
+                return 0
             raise TruncatedStreamError(
                 f"requested {n_bits} bits, {self.bits_remaining} remain",
-                bit_position=self._pos,
+                bit_position=pos,
             )
-        value = 0
-        pos = self._pos
-        data = self._data
-        for _ in range(n_bits):
-            byte = data[pos >> 3]
-            value = (value << 1) | ((byte >> (7 - (pos & 7))) & 1)
-            pos += 1
-        self._pos = pos
-        return value
+        self._pos = end
+        stop = (end + 7) >> 3
+        value = int.from_bytes(self._data[pos >> 3 : stop], "big")
+        return (value >> ((stop << 3) - end)) & ((1 << n_bits) - 1)
 
     def read_bit(self) -> int:
-        return self.read_bits(1)
+        pos = self._pos
+        if pos >= self._n_bits:
+            raise TruncatedStreamError(
+                "requested 1 bits, 0 remain", bit_position=pos
+            )
+        self._pos = pos + 1
+        return (self._data[pos >> 3] >> (7 - (pos & 7))) & 1
 
     def peek_bits(self, n_bits: int) -> int:
         """Read without consuming; short reads at EOF are zero-padded."""
-        saved = self._pos
-        available = min(n_bits, self.bits_remaining)
-        value = self.read_bits(available)
-        self._pos = saved
-        return value << (n_bits - available)
+        if n_bits < 0:
+            raise ValueError("n_bits must be non-negative")
+        pos = self._pos
+        start = pos >> 3
+        stop = (pos + n_bits + 7) >> 3
+        chunk = self._data[start:stop]
+        # The stream ends on a byte boundary, so padding whole bytes is
+        # padding the missing bits.
+        value = int.from_bytes(chunk, "big") << ((stop - start - len(chunk)) << 3)
+        return (value >> ((stop << 3) - pos - n_bits)) & ((1 << n_bits) - 1)
+
+    def consume_code(self, n_bits: int) -> None:
+        """Consume a ``n_bits`` variable-length code found by peeking.
+
+        A code cut off by the end of the stream leaves the reader at the
+        end and raises there, as a bit-serial code walk would.
+        """
+        end = self._pos + n_bits
+        if end > self._n_bits:
+            self._pos = self._n_bits
+            raise TruncatedStreamError(
+                "requested 1 bits, 0 remain", bit_position=self._n_bits
+            )
+        self._pos = end
 
     def read_ue(self) -> int:
+        # Count the leading zeros in a 32-bit window; a zero window (a
+        # long prefix or the end of the stream) takes the serial path.
+        window = self.peek_bits(32)
+        if window:
+            length = 65 - 2 * window.bit_length()  # 2 * zeros + 1
+            code = window >> (32 - length) if length <= 32 else self.peek_bits(length)
+            self.consume_code(length)
+            return code - 1
         zeros = 0
         while self.read_bit() == 0:
             zeros += 1

@@ -45,7 +45,13 @@ from repro.codec.framestore import BORDER, FrameStore
 from repro.codec.motion import MotionVector, PredictionMode, ZERO_MV, compensate, median_mv
 from repro.codec.padding import repetitive_pad
 from repro.codec.predict import DEFAULT_DC, FROM_ABOVE, AcDcPredictor
-from repro.codec.quant import dequantize_any, events_to_levels, inverse_zigzag_scan
+from repro.codec.quant import (
+    ZIGZAG,
+    dequantize_any,
+    events_to_levels,
+    inverse_zigzag_scan,
+    validate_qp,
+)
 from repro.codec.shape import decode_shape_plane
 from repro.codec.types import VopStats, VopType
 from repro import obs
@@ -69,6 +75,9 @@ VOP_BIT_BUDGET_FLOOR = 1 << 16
 #: A single 8x8 block has 64 coefficients, so no conforming block carries
 #: more run-level events than that.
 MAX_EVENTS_PER_BLOCK = 64
+
+#: Raster index (8 * row + column) of each zigzag scan position.
+_RASTER_OF_SCAN = ZIGZAG.tolist()
 
 
 @dataclass
@@ -414,7 +423,8 @@ class VopDecoder:
         self, reader, vop_type, qp, mask, past, future, recon_store, vop_stats
     ) -> None:
         # Arbitrary-shape VOPs keep the per-macroblock reference loop;
-        # everything else decodes whole rows through the batched kernels.
+        # everything else parses row by row and reconstructs whole VOPs
+        # through the batched kernels.
         # Data-partitioned packets always parse through the reference path
         # (their salvage machinery is inherently per-event), but share the
         # configured reconstruction IDCT so fixed-point streams stay
@@ -433,10 +443,27 @@ class VopDecoder:
             VOP_BIT_BUDGET_FLOOR, VOP_BITS_PER_PIXEL_BUDGET * self.width * self.height
         )
         iteration_budget = 4 * mb_rows + 4
+        # Batched rows are parsed here and reconstructed together when the
+        # row loop ends.  A P-VOP whose (damaged) display index makes it
+        # predict from its own store must see each row land before the
+        # next one is predicted, so it reconstructs row by row instead.
+        pending: dict[int, tuple[int, list]] = {}
+        row_by_row = recon_store is past or recon_store is future
+
+        def lose(lost_row: int) -> None:
+            # Concealment replaces the whole strip, superseding any parsed
+            # reconstruction of the row still pending.
+            pending.pop(lost_row, None)
+            vop_stats.lost_packets += 1
+            self._conceal_row(lost_row, vop_type, past, recon_store)
+
         row = 0
         while row < mb_rows:
             iteration_budget -= 1
             if iteration_budget < 0 or reader.bit_position - bits_start > bit_budget:
+                # The VOP is abandoned, but the rows it decoded stay in the
+                # store, and later VOPs may still reference it.
+                self._reconstruct_rows(pending, past, future, recon_store)
                 raise DecodeBudgetExceededError(
                     f"per-VOP decode budget exhausted at row {row}",
                     bit_position=reader.bit_position,
@@ -465,10 +492,12 @@ class VopDecoder:
                             vop_stats, dc_preds, mv_grid, row,
                         )
                 elif batched_rows:
-                    self._decode_mb_row_batched(
+                    pending[row] = (qp, self._decode_mb_row_batched(
                         reader, vop_type, qp, past, future, recon_store,
                         vop_stats, dc_preds, mv_grid, row,
-                    )
+                    ))
+                    if row_by_row:
+                        self._reconstruct_rows(pending, past, future, recon_store)
                 else:
                     with obs.span("codec.decode.mb_row", row=row):
                         self._decode_mb_row(
@@ -478,24 +507,22 @@ class VopDecoder:
             except Exception:
                 if not getattr(self, "_tolerate_errors", False):
                     raise
-                vop_stats.lost_packets += 1
-                self._conceal_row(row, vop_type, past, recon_store)
+                lose(row)
                 resumed = self._scan_to_resync(reader)
                 if resumed is None:
                     for lost in range(row + 1, mb_rows):
-                        vop_stats.lost_packets += 1
-                        self._conceal_row(lost, vop_type, past, recon_store)
-                    return
+                        lose(lost)
+                    break
                 next_row, _ = resumed
                 for lost in range(row + 1, min(next_row, mb_rows)):
-                    vop_stats.lost_packets += 1
-                    self._conceal_row(lost, vop_type, past, recon_store)
+                    lose(lost)
                 # The scan left the reader positioned at the marker; the
                 # loop top re-parses it (and re-enters error handling if
                 # that packet is corrupt too).
                 row = next_row
                 continue
             row += 1
+        self._reconstruct_rows(pending, past, future, recon_store)
 
     def _decode_mb_row(
         self, reader, vop_type, qp, mask, past, future, recon_store,
@@ -526,7 +553,7 @@ class VopDecoder:
                     pred_fwd, pred_bwd, vop_stats,
                 )
 
-    # -- batched (whole-row) decode --------------------------------------------
+    # -- batched decode: row-by-row parse, whole-VOP reconstruction ----------
 
     @staticmethod
     def _check_plane_bounds(shape, y: int, x: int, mv: MotionVector, size: int) -> None:
@@ -592,36 +619,26 @@ class VopDecoder:
             pixels[:, 5].transpose(1, 0, 2).reshape(8, mb_cols * 8)
         )
 
-    def _predict_row_many(self, store_ref: FrameStore, row: int, cols, mvs) -> np.ndarray:
-        """Batched six-block predictions for a subset of one row's MBs."""
-        mb_ys = np.full(len(cols), row * MB_SIZE, dtype=np.int64)
-        mb_xs = np.asarray(cols, dtype=np.int64) * MB_SIZE
-        mv_dx = np.array([mv.dx for mv in mvs], dtype=np.int64)
-        mv_dy = np.array([mv.dy for mv in mvs], dtype=np.int64)
-        prediction, _ = predict_many(
-            store_ref.y, store_ref.u, store_ref.v, mb_ys, mb_xs, mv_dx, mv_dy, BORDER
-        )
-        return prediction
-
     def _decode_mb_row_batched(
         self, reader, vop_type, qp, past, future, recon_store,
         vop_stats, dc_preds, mv_grid, row,
-    ) -> None:
-        """Whole-row decode: sequential parse, batched reconstruction.
+    ) -> list[tuple]:
+        """Parse one macroblock row; returns one record per macroblock.
 
-        Phase 1 walks the row's macroblocks through the same VLC parse as
-        the reference decoder -- emitting statistics, trace hooks and
-        parse-time errors in identical order -- but only records what each
-        MB needs.  Phase 2 then reconstructs the entire row with the
-        frame-level kernels and scatters it in one strip write.  A parse
-        error leaves the row unwritten, which is outcome-identical: the
-        concealment handler overwrites the full row strip anyway.
+        Walks the row through the same VLC parse as the reference decoder
+        -- emitting statistics, trace hooks and parse-time errors in
+        identical order -- but only records what each MB needs for
+        :meth:`_reconstruct_rows`: ``(residual, past_mv, future_mv)``.
+        An intra MB's residual is its ``(6, 8, 8)`` levels and it has no
+        vectors; an inter MB's is its coded blocks (see
+        :meth:`_read_residual`), with the vector of each reference it
+        predicts from.  A parse error returns nothing, which is
+        outcome-identical: concealment overwrites the whole row strip.
         """
         mb_cols = self.width // MB_SIZE
         records: list[tuple] = []
         pred_fwd = ZERO_MV
         pred_bwd = ZERO_MV
-        intra_levels: list[np.ndarray] = []
         # Manual enter/exit keeps the 100-line parse loop unindented; a
         # parse error leaks the span, which the enclosing VOP span's
         # unwind still commits.
@@ -637,17 +654,16 @@ class VopDecoder:
                 self._emit_texture_hook(
                     "intra_dec", recon_store, mb_y, mb_x, 0, n_events
                 )
-                records.append(("intra", len(intra_levels)))
-                intra_levels.append(levels)
+                records.append((levels, None, None))
                 continue
             header = vlc.decode_macroblock_header(reader, inter_allowed=True)
             if vop_type is VopType.P:
                 if header.is_skipped:
-                    self._check_mc_bounds(past, mb_y, mb_x, ZERO_MV)
+                    # A zero vector cannot leave the store: no bounds check.
                     self._emit_mc_hook(past, mb_y, mb_x, ZERO_MV)
                     vop_stats.skipped_mbs += 1
                     mv_grid[row][col] = ZERO_MV
-                    records.append(("skip_p", None))
+                    records.append((None, ZERO_MV, None))
                     continue
                 if header.is_intra:
                     levels, n_events = self._parse_intra_mb(
@@ -659,8 +675,7 @@ class VopDecoder:
                         "intra_dec", recon_store, mb_y, mb_x, 0, n_events
                     )
                     mv_grid[row][col] = ZERO_MV
-                    records.append(("intra", len(intra_levels)))
-                    intra_levels.append(levels)
+                    records.append((levels, None, None))
                     continue
                 predictor = self._mv_predictor(
                     mv_grid, row, col, cross_row=not self.resync_markers
@@ -669,7 +684,7 @@ class VopDecoder:
                 dy = vlc.decode_mv_component(reader)
                 mv = MotionVector(predictor.dx + dx, predictor.dy + dy)
                 mv_grid[row][col] = mv
-                levels, n_events = self._read_residual_levels(reader, header.cbp)
+                blocks, n_events = self._read_residual(reader, header.cbp)
                 self._check_mc_bounds(past, mb_y, mb_x, mv)
                 self._emit_mc_hook(past, mb_y, mb_x, mv)
                 vop_stats.inter_mbs += 1
@@ -677,16 +692,14 @@ class VopDecoder:
                 self._emit_texture_hook(
                     "inter_dec", recon_store, mb_y, mb_x, header.cbp, n_events
                 )
-                records.append(("inter", levels, mv))
+                records.append((blocks, mv, None))
                 continue
             # B-VOP
             if header.is_skipped:
-                self._check_mc_bounds(past, mb_y, mb_x, ZERO_MV)
                 self._emit_mc_hook(past, mb_y, mb_x, ZERO_MV)
-                self._check_mc_bounds(future, mb_y, mb_x, ZERO_MV)
                 self._emit_mc_hook(future, mb_y, mb_x, ZERO_MV)
                 vop_stats.skipped_mbs += 1
-                records.append(("skip_b", None))
+                records.append((None, ZERO_MV, ZERO_MV))
                 continue
             if header.is_intra:
                 levels, n_events = self._parse_intra_mb(
@@ -697,8 +710,7 @@ class VopDecoder:
                 self._emit_texture_hook(
                     "intra_dec", recon_store, mb_y, mb_x, 0, n_events
                 )
-                records.append(("intra", len(intra_levels)))
-                intra_levels.append(levels)
+                records.append((levels, None, None))
                 continue
             mode = PredictionMode(reader.read_bits(2))
             mv_f = mv_b = None
@@ -712,7 +724,7 @@ class VopDecoder:
                 dy = vlc.decode_mv_component(reader)
                 mv_b = MotionVector(pred_bwd.dx + dx, pred_bwd.dy + dy)
                 pred_bwd = mv_b
-            levels, n_events = self._read_residual_levels(reader, header.cbp)
+            blocks, n_events = self._read_residual(reader, header.cbp)
             if mode is not PredictionMode.BACKWARD:
                 self._check_mc_bounds(past, mb_y, mb_x, mv_f)
                 self._emit_mc_hook(past, mb_y, mb_x, mv_f)
@@ -724,92 +736,98 @@ class VopDecoder:
             self._emit_texture_hook(
                 "inter_dec", recon_store, mb_y, mb_x, header.cbp, n_events
             )
-            records.append(("b", levels, mode, mv_f, mv_b))
+            records.append((blocks, mv_f, mv_b))
         parse_span.__exit__(None, None, None)
-        with obs.span("codec.decode.reconstruct", row=row):
-            self._reconstruct_row_batched(
-                records, intra_levels, qp, past, future, recon_store, row
-            )
+        # Dequantization waits for the reconstruction pass; a resync
+        # marker's out-of-range quantizer must still fail inside this row.
+        validate_qp(qp)
+        return records
 
-    def _reconstruct_row_batched(
-        self, records, intra_levels, qp, past, future, recon_store, row
-    ) -> None:
-        """Phase 2: batch-reconstruct one parsed row and scatter it."""
-        mb_cols = len(records)
-        pixels = np.empty((mb_cols, 6, 8, 8), dtype=np.uint8)
-        zero_levels = np.zeros((6, 8, 8), dtype=np.int32)
+    def _reconstruct_rows(self, pending, past, future, recon_store) -> None:
+        """Reconstruct parsed rows in one pass, emptying ``pending``.
 
-        # Motion-compensated predictions, grouped per reference store.
-        past_cols, past_mvs = [], []
-        future_cols, future_mvs = [], []
-        for col, record in enumerate(records):
-            kind = record[0]
-            if kind in ("skip_p", "skip_b"):
-                past_cols.append(col)
-                past_mvs.append(ZERO_MV)
-                if kind == "skip_b":
-                    future_cols.append(col)
-                    future_mvs.append(ZERO_MV)
-            elif kind == "inter":
-                past_cols.append(col)
-                past_mvs.append(record[2])
-            elif kind == "b":
-                _, _, mode, mv_f, mv_b = record
-                if mode is not PredictionMode.BACKWARD:
-                    past_cols.append(col)
-                    past_mvs.append(mv_f)
-                if mode is not PredictionMode.FORWARD:
-                    future_cols.append(col)
-                    future_mvs.append(mv_b)
-        pred_past = {}
-        pred_future = {}
-        if past_cols:
-            block = self._predict_row_many(past, row, past_cols, past_mvs)
-            pred_past = dict(zip(past_cols, block))
-        if future_cols:
-            block = self._predict_row_many(future, row, future_cols, future_mvs)
-            pred_future = dict(zip(future_cols, block))
+        ``pending`` maps row -> (qp, records).  Predictions take one
+        ``predict_many`` per reference store; dequantization and IDCT
+        run once per (qp, intra) group over just the blocks that carry
+        levels (an uncoded inter block is its prediction); each row then
+        lands in the store with one strip write.
+        """
+        if not pending:
+            return
+        with obs.span("codec.decode.reconstruct", rows=len(pending)):
+            rows = list(pending.items())
+            pending.clear()
+            # Per reference store: (MB indices, mb_ys, mb_xs, mv dx, mv dy).
+            refs = {"past": ([], [], [], [], []), "future": ([], [], [], [], [])}
+            intra: dict[int, tuple[list, list]] = {}  # qp -> (MBs, levels)
+            # qp -> (block indices, indices into their dense levels, levels)
+            inter: dict[int, tuple[list, list, list]] = {}
+            n_mbs = 0
+            for row, (qp, records) in rows:
+                for col, (residual, past_mv, future_mv) in enumerate(records):
+                    mb = n_mbs
+                    n_mbs += 1
+                    if past_mv is None and future_mv is None:
+                        mbs, levels = intra.setdefault(qp, ([], []))
+                        mbs.append(mb)
+                        levels.append(residual)
+                        continue
+                    for name, mv in (("past", past_mv), ("future", future_mv)):
+                        if mv is None:
+                            continue
+                        select, ys, xs, dxs, dys = refs[name]
+                        select.append(mb)
+                        ys.append(row * MB_SIZE)
+                        xs.append(col * MB_SIZE)
+                        dxs.append(mv.dx)
+                        dys.append(mv.dy)
+                    if residual:  # the coded blocks of an inter MB
+                        blocks, flat, levels = inter.setdefault(qp, ([], [], []))
+                        for index, rasters, values in residual:
+                            base = len(blocks) * 64
+                            blocks.append(mb * 6 + index)
+                            flat += [base + raster for raster in rasters]
+                            levels += values
 
-        inter_cols, inter_preds, inter_levels = [], [], []
-        for col, record in enumerate(records):
-            kind = record[0]
-            if kind == "intra":
-                continue
-            if kind == "skip_p":
-                prediction = pred_past[col]
-                levels = zero_levels
-            elif kind == "skip_b":
-                prediction = (pred_past[col] + pred_future[col] + 1.0) // 2
-                levels = zero_levels
-            elif kind == "inter":
-                prediction = pred_past[col]
-                levels = record[1]
-            else:
-                _, levels, mode, _, _ = record
-                if mode is PredictionMode.FORWARD:
-                    prediction = pred_past[col]
-                elif mode is PredictionMode.BACKWARD:
-                    prediction = pred_future[col]
-                else:
-                    prediction = (pred_past[col] + pred_future[col] + 1.0) // 2
-            inter_cols.append(col)
-            inter_preds.append(prediction)
-            inter_levels.append(levels)
-        if inter_cols:
-            prediction = np.stack(inter_preds)
-            levels = np.stack(inter_levels)
-            recon = prediction + self._recon_idct(
-                dequantize_any(levels, qp, False, self.quant_method)
-            )
-            pixels[inter_cols] = np.clip(np.rint(recon), 0, 255).astype(np.uint8)
+            recon = np.empty((n_mbs, 6, 8, 8), dtype=np.float64)
+            from_past = np.zeros(n_mbs, dtype=bool)
+            for name, store in (("past", past), ("future", future)):
+                select, ys, xs, dxs, dys = refs[name]
+                if not select:
+                    continue
+                prediction, _ = predict_many(
+                    store.y, store.u, store.v, ys, xs, dxs, dys, BORDER
+                )
+                select = np.asarray(select)
+                if name == "past":
+                    recon[select] = prediction
+                    from_past[select] = True
+                    continue
+                both = from_past[select]
+                recon[select[~both]] = prediction[~both]
+                average = select[both]
+                recon[average] = (recon[average] + prediction[both] + 1.0) // 2
+            recon = recon.reshape(n_mbs * 6, 8, 8)
+            for qp, (mbs, levels) in intra.items():
+                blocks = (np.asarray(mbs)[:, None] * 6 + np.arange(6)).ravel()
+                recon[blocks] = self._recon_idct(
+                    dequantize_any(np.concatenate(levels), qp, True, self.quant_method)
+                )
+            for qp, (blocks, flat, levels) in inter.items():
+                coded = np.zeros(len(blocks) * 64, dtype=np.int32)
+                coded[flat] = levels
+                recon[blocks] += self._recon_idct(
+                    dequantize_any(coded.reshape(-1, 8, 8), qp, False, self.quant_method)
+                )
+            pixels = np.clip(np.rint(recon), 0, 255).astype(np.uint8)
+            pixels = pixels.reshape(n_mbs, 6, 8, 8)
 
-        intra_cols = [col for col, record in enumerate(records) if record[0] == "intra"]
-        if intra_cols:
-            levels = np.stack([intra_levels[records[col][1]] for col in intra_cols])
-            recon = self._recon_idct(dequantize_any(levels, qp, True, self.quant_method))
-            pixels[intra_cols] = np.clip(np.rint(recon), 0, 255).astype(np.uint8)
-
-        self._scatter_row_pixels(recon_store, row, pixels)
+            start = 0
+            for row, (_, records) in rows:
+                self._scatter_row_pixels(
+                    recon_store, row, pixels[start : start + len(records)]
+                )
+                start += len(records)
 
     # -- data-partitioned packets ---------------------------------------------
 
@@ -1236,29 +1254,52 @@ class VopDecoder:
 
     def _read_residual_levels(self, reader, cbp) -> tuple[np.ndarray, int]:
         """Inter-coded residual levels for the six blocks; returns (levels, events)."""
-        levels = np.zeros((6, 8, 8), dtype=np.int32)
+        levels = np.zeros((6, 64), dtype=np.int32)
+        blocks, n_events = self._read_residual(reader, cbp)
+        for index, rasters, values in blocks:
+            levels[index, rasters] = values
+        return levels.reshape(6, 8, 8), n_events
+
+    @classmethod
+    def _read_residual(cls, reader, cbp) -> tuple[list[tuple], int]:
+        """Coded inter blocks as ``[(block, raster indices, levels)]``,
+        plus the event count."""
+        blocks = []
         n_events = 0
         for index in range(6):
-            if not cbp & (1 << (5 - index)):
-                continue
-            events = self._read_events(reader)
-            n_events += len(events)
-            levels[index] = inverse_zigzag_scan(events_to_levels(events))
-        return levels, n_events
+            if cbp & (1 << (5 - index)):
+                rasters, values = cls._read_block(reader, 0)
+                n_events += len(values)
+                blocks.append((index, rasters, values))
+        return blocks, n_events
 
     @staticmethod
-    def _read_events(reader) -> list[tuple[int, int, int]]:
-        events = []
+    def _read_block(reader, first: int) -> tuple[list[int], list[int]]:
+        """One block's run-level events as (raster indices, levels).
+
+        The zigzag scan starts at position ``first`` (1 for intra AC
+        coefficients, whose DC is coded apart).  A block whose events run
+        past its 64th coefficient is rejected once all of them are read.
+        """
+        positions = []
+        levels = []
+        position = first
         while True:
             last, run, level = vlc.decode_coefficient_event(reader)
-            events.append((last, run, level))
+            position += run
+            positions.append(position)
+            levels.append(level)
+            position += 1
             if last:
-                return events
-            if len(events) >= MAX_EVENTS_PER_BLOCK:
+                break
+            if len(levels) >= MAX_EVENTS_PER_BLOCK:
                 raise MalformedStreamError(
                     "run-level events never terminated within one block",
                     bit_position=reader.bit_position,
                 )
+        if position > 64:
+            raise ValueError("run-level events overflow the coefficient block")
+        return [_RASTER_OF_SCAN[p] for p in positions], levels
 
     def _decode_intra_mb(
         self, reader, qp, mb_y, mb_x, recon_store, dc_preds, row, col, vop_stats,
@@ -1293,7 +1334,7 @@ class VopDecoder:
         if header is None:
             header = vlc.decode_macroblock_header(reader, inter_allowed)
         use_ac_pred = bool(reader.read_bit()) if dc_preds is not None else False
-        levels = np.zeros((6, 8, 8), dtype=np.int32)
+        levels = np.zeros((6, 64), dtype=np.int32)
         n_events = 6
         for index in range(6):
             dc_diff = reader.read_se()
@@ -1307,24 +1348,23 @@ class VopDecoder:
                     block_row, block_col
                 )
             dc = predicted + dc_diff
-            scanned = np.zeros(64, dtype=np.int32)
+            block = levels[index]  # raster order: row r, column c at 8r + c
             if header.cbp & (1 << (5 - index)):
-                events = self._read_events(reader)
-                n_events += len(events)
-                scanned[1:] = events_to_levels(events, length=63)
-            block = inverse_zigzag_scan(scanned)
+                rasters, values = self._read_block(reader, 1)
+                n_events += len(values)
+                block[rasters] = values
+            first_row, first_col = block[1:8], block[8:64:8]
             if use_ac_pred and predictor is not None:
                 predicted_ac = predictor.predict_ac(block_row, block_col, direction)
                 if direction == FROM_ABOVE:
-                    block[0, 1:8] += predicted_ac
+                    first_row += predicted_ac
                 else:
-                    block[1:8, 0] += predicted_ac
-            block[0, 0] = dc
-            levels[index] = block
+                    first_col += predicted_ac
+            block[0] = dc
             if predictor is not None:
                 predictor.store(block_row, block_col, dc)
-                predictor.store_ac(block_row, block_col, block[0, 1:8], block[1:8, 0])
-        return levels, n_events
+                predictor.store_ac(block_row, block_col, first_row, first_col)
+        return levels.reshape(6, 8, 8), n_events
 
     @staticmethod
     def _block_grid(dc_preds, index, row, col):

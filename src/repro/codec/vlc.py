@@ -34,8 +34,10 @@ MAX_TABLE_LEVEL = 12
 class HuffmanTable:
     """Deterministic canonical Huffman code over a fixed symbol alphabet.
 
-    Built once at import time; encoding is a dict lookup, decoding walks a
-    binary tree one bit at a time exactly like a table-driven VLC decoder.
+    Built once at import time; encoding is a dict lookup, decoding a
+    multi-level table lookup in the ``huffman_tbl.h`` style: peek the
+    longest code's width (rounded up to whole bytes), index one 256-entry
+    table per byte until a ``(symbol, length)`` leaf, consume ``length``.
     """
 
     def __init__(self, weighted_symbols: list[tuple[object, float]]) -> None:
@@ -53,8 +55,9 @@ class HuffmanTable:
             previous_length = length
             self.codes[symbol] = (code, length)
             code += 1
-        self._tree = self._build_tree()
         self.max_length = max(length for _, length in self.codes.values())
+        self._width = -(-self.max_length // 8) * 8
+        self._lookup = self._build_lookup()
 
     @staticmethod
     def _code_lengths(weighted_symbols) -> dict[object, int]:
@@ -72,19 +75,25 @@ class HuffmanTable:
             counter += 1
         return lengths
 
-    def _build_tree(self):
-        # Tree nodes are 2-lists [zero_child, one_child]; leaves hold symbols.
-        root: list = [None, None]
+    def _build_lookup(self) -> list:
+        # Level k indexes bits [8k, 8k + 8) of the window.  An entry is a
+        # (symbol, length) leaf, a sub-table list for codes longer than
+        # its level, or None where no code lives (never, for a complete
+        # Huffman code).
+        root: list = [None] * 256
         for symbol, (code, length) in self.codes.items():
-            node = root
-            for bit_index in range(length - 1, -1, -1):
-                bit = (code >> bit_index) & 1
-                if bit_index == 0:
-                    node[bit] = ("leaf", symbol)
-                else:
-                    if node[bit] is None:
-                        node[bit] = [None, None]
-                    node = node[bit]
+            aligned = code << (self._width - length)
+            table = root
+            shift = self._width - 8
+            while length > self._width - shift:
+                index = (aligned >> shift) & 0xFF
+                if table[index] is None:
+                    table[index] = [None] * 256
+                table = table[index]
+                shift -= 8
+            first = (aligned >> shift) & 0xFF
+            span = 1 << (self._width - shift - length)
+            table[first : first + span] = [(symbol, length)] * span
         return root
 
     def encode(self, writer: BitWriter, symbol) -> int:
@@ -94,14 +103,17 @@ class HuffmanTable:
         return length
 
     def decode(self, reader: BitReader):
-        node = self._tree
-        for _ in range(self.max_length + 1):
-            node = node[reader.read_bit()]
-            if node is None:
-                break
-            if node[0] == "leaf":
-                return node[1]
-        raise VlcError("invalid VLC codeword", bit_position=reader.bit_position)
+        window = reader.peek_bits(self._width)
+        shift = self._width - 8
+        entry = self._lookup[window >> shift]
+        while type(entry) is list:
+            shift -= 8
+            entry = entry[(window >> shift) & 0xFF]
+        if entry is None:
+            raise VlcError("invalid VLC codeword", bit_position=reader.bit_position)
+        symbol, length = entry
+        reader.consume_code(length)
+        return symbol
 
 
 def _coefficient_weights() -> list[tuple[object, float]]:

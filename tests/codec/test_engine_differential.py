@@ -149,6 +149,35 @@ class TestDecoderDifferential:
         assert_frames_equal(reference.frames, batched.frames)
         assert_stats_equal(reference.vop_stats, batched.vop_stats)
 
+    def test_vop_abandoned_on_budget_keeps_its_decoded_rows(self):
+        """A P-VOP that exhausts its decode budget is dropped, but later
+        VOPs still predict from its store, so the rows it did decode must
+        land there, as the per-MB oracle writes them."""
+        width, height = 64, 48
+        config = CodecConfig(
+            width, height, qp=8, gop_size=4, m_distance=1, resync_markers=True
+        )
+        with engine(ENGINE_BATCHED):
+            data = VopEncoder(config).encode_sequence(
+                scene_frames(4, width, height)
+            ).data
+        vops = [i for i in range(len(data)) if data.startswith(b"\x00\x00\x01\xb6", i)]
+        markers = [
+            i for i in range(vops[1], vops[2])
+            if data.startswith(b"\x00\x00\x01\xb7", i)
+        ]
+        # Thirty replayed row-1 packets send the row loop back to row 1
+        # until the iteration budget runs out.
+        packet = data[markers[0] : markers[1]]
+        stream = data[: markers[1]] + packet * 30 + data[markers[1] :]
+        with engine(ENGINE_REFERENCE):
+            reference = VopDecoder().decode_sequence(stream, tolerate_errors=True)
+        with engine(ENGINE_BATCHED):
+            batched = VopDecoder().decode_sequence(stream, tolerate_errors=True)
+        assert batched.concealed_frames == 1
+        assert_frames_equal(reference.frames, batched.frames)
+        assert_stats_equal(reference.vop_stats, batched.vop_stats)
+
 
 class TestTraceDifferential:
     """The trace stream feeds the paper's cache model; batching must not

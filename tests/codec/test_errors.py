@@ -90,7 +90,7 @@ class TestPrimitiveRejections:
         from repro.codec.vlc import HuffmanTable
 
         table = HuffmanTable([(0, 1.0), (1, 1.0)])
-        table._tree[1] = None  # prune a branch: now an incomplete tree
+        table._lookup[0xFF] = None  # prune a lookup entry: now an incomplete code
         with pytest.raises(VlcError) as excinfo:
             table.decode(BitReader(b"\xff"))
         assert excinfo.value.bit_position is not None
