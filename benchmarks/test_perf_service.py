@@ -49,7 +49,7 @@ OVERHEAD_FLOOR_S = 0.005
 
 
 def measure_faultstudy_overhead() -> dict:
-    """Recovery-plane cost at intensity 0 (the ``repro serve`` path)."""
+    """Recovery-plane cost at intensity 0 (no faults scheduled)."""
     from repro.service.session import reset_encode_cache
 
     reset_encode_cache()

@@ -49,7 +49,6 @@ from repro.codec.quant import (
     ZIGZAG,
     dequantize_any,
     events_to_levels,
-    inverse_zigzag_scan,
     validate_qp,
 )
 from repro.codec.shape import decode_shape_plane
@@ -107,19 +106,6 @@ class DecodedSequence:
         return self.concealment_events == 0
 
 
-@dataclass
-class _MbRecord:
-    """Partition-1 state for one macroblock of a data-partitioned packet."""
-
-    kind: str  # "skip" | "intra" | "inter" | "b"
-    cbp: int = 0
-    dcs: list[int] | None = None  # six resolved DC levels (intra)
-    mv: MotionVector = ZERO_MV  # inter (P)
-    mode: PredictionMode | None = None  # B prediction mode
-    mv_f: MotionVector | None = None
-    mv_b: MotionVector | None = None
-
-
 class VopDecoder:
     """Decoder for one video object layer's bitstream."""
 
@@ -147,6 +133,8 @@ class VopDecoder:
         self._stream_region = None
         self._output_region = None
         self._recon_idct = inverse_dct
+        self._tolerate_errors = False
+        self._n_frames = 0
 
     def decode_sequence(
         self, data: bytes, tolerate_errors: bool = False
@@ -318,7 +306,7 @@ class VopDecoder:
                 f"invalid VOP type {raw_type}", bit_position=reader.bit_position
             ) from None
         display = reader.read_ue()
-        if display >= getattr(self, "_n_frames", MAX_VOPS):
+        if display >= self._n_frames:
             raise HeaderError(f"display index {display} outside sequence")
         qp = reader.read_bits(5)
         if qp < 1:
@@ -422,11 +410,11 @@ class VopDecoder:
     def _decode_macroblocks(
         self, reader, vop_type, qp, mask, past, future, recon_store, vop_stats
     ) -> None:
-        # Arbitrary-shape VOPs keep the per-macroblock reference loop;
-        # everything else parses row by row and reconstructs whole VOPs
-        # through the batched kernels.
-        # Data-partitioned packets always parse through the reference path
-        # (their salvage machinery is inherently per-event), but share the
+        # Every path parses through :meth:`_parse_mb_row`.  The batched
+        # engine reconstructs the parsed rows of a VOP together; the
+        # reference engine and arbitrary-shape VOPs rebuild each macroblock
+        # as soon as it is parsed, and data-partitioned packets once their
+        # texture partition is read.  Data-partitioned packets share the
         # configured reconstruction IDCT so fixed-point streams stay
         # drift-free with the encoder.
         batched = codec_engine() == ENGINE_BATCHED and mask is None
@@ -476,7 +464,7 @@ class VopDecoder:
                             f"expected resync marker before row {row}, got {suffix}"
                         )
                     marker_row = reader.read_ue()
-                    qp = reader.read_bits(5)
+                    qp = validate_qp(reader.read_bits(5))
                     if marker_row != row:
                         raise ValueError(
                             f"resync marker row {marker_row} != expected {row}"
@@ -492,20 +480,32 @@ class VopDecoder:
                             vop_stats, dc_preds, mv_grid, row,
                         )
                 elif batched_rows:
-                    pending[row] = (qp, self._decode_mb_row_batched(
-                        reader, vop_type, qp, past, future, recon_store,
-                        vop_stats, dc_preds, mv_grid, row,
-                    ))
+                    records = []
+                    with obs.span("codec.decode.vlc_parse", row=row):
+                        for col, record, cbp, n_events in self._parse_mb_row(
+                            reader, vop_type, dc_preds, mv_grid, row, None, vop_stats
+                        ):
+                            self._check_predictions(record, past, future, row, col)
+                            self._count_mb(
+                                vop_stats, record, cbp, n_events, recon_store, row, col
+                            )
+                            records.append(record)
+                    pending[row] = (qp, records)
                     if row_by_row:
                         self._reconstruct_rows(pending, past, future, recon_store)
                 else:
                     with obs.span("codec.decode.mb_row", row=row):
-                        self._decode_mb_row(
-                            reader, vop_type, qp, mask, past, future,
-                            recon_store, vop_stats, dc_preds, mv_grid, row,
-                        )
+                        for col, record, cbp, n_events in self._parse_mb_row(
+                            reader, vop_type, dc_preds, mv_grid, row, mask, vop_stats
+                        ):
+                            self._reconstruct_mb(
+                                record, qp, past, future, recon_store, row, col
+                            )
+                            self._count_mb(
+                                vop_stats, record, cbp, n_events, recon_store, row, col
+                            )
             except Exception:
-                if not getattr(self, "_tolerate_errors", False):
+                if not self._tolerate_errors:
                     raise
                 lose(row)
                 resumed = self._scan_to_resync(reader)
@@ -524,14 +524,24 @@ class VopDecoder:
             row += 1
         self._reconstruct_rows(pending, past, future, recon_store)
 
-    def _decode_mb_row(
-        self, reader, vop_type, qp, mask, past, future, recon_store,
-        vop_stats, dc_preds, mv_grid, row,
-    ) -> None:
-        mb_cols = self.width // MB_SIZE
+    def _parse_mb_row(self, reader, vop_type, dc_preds, mv_grid, row, mask, vop_stats):
+        """Parse one macroblock row, yielding each macroblock as it is read.
+
+        Yields ``(col, (residual, past_mv, future_mv), cbp, n_events)``.
+        An intra MB's residual is its quantized ``(6, 8, 8)`` levels (AC
+        prediction resolved) and it has no vectors; an inter MB's is its
+        coded blocks (see :meth:`_read_residual`), with the vector of
+        each reference it predicts from; a skipped MB has no residual and
+        zero vectors.  In a data-partitioned packet this is partition 1:
+        the texture follows the motion marker, so intra residuals hold
+        only the DCs, inter residuals are empty and ``n_events`` counts
+        the DC terms.  Transparent MBs of an arbitrary-shape VOP are
+        counted, not yielded.
+        """
+        inline_texture = not self.data_partitioning
         pred_fwd = ZERO_MV
         pred_bwd = ZERO_MV
-        for col in range(mb_cols):
+        for col in range(self.width // MB_SIZE):
             mb_y = row * MB_SIZE
             mb_x = col * MB_SIZE
             if mask is not None and not mask[
@@ -539,21 +549,144 @@ class VopDecoder:
             ].any():
                 vop_stats.transparent_mbs += 1
                 continue
+            header = vlc.decode_macroblock_header(
+                reader, inter_allowed=vop_type is not VopType.I
+            )
             if vop_type is VopType.I:
-                self._decode_intra_mb(
-                    reader, qp, mb_y, mb_x, recon_store, dc_preds, row, col, vop_stats
+                if self.data_partitioning and not header.is_intra:
+                    raise PartitionError(
+                        "inter macroblock header in an I-VOP partition",
+                        bit_position=reader.bit_position,
+                    )
+                levels, n_events = self._parse_intra_mb(
+                    reader, dc_preds, row, col, header
                 )
-            elif vop_type is VopType.P:
-                self._decode_p_mb(
-                    reader, qp, mb_y, mb_x, past, recon_store, mv_grid, row, col, vop_stats
+                yield col, (levels, None, None), header.cbp, n_events
+                continue
+            if header.is_skipped or header.is_intra:
+                mv_grid[row][col] = ZERO_MV
+            if header.is_skipped:
+                future_mv = None if vop_type is VopType.P else ZERO_MV
+                yield col, (None, ZERO_MV, future_mv), 0, 0
+                continue
+            if header.is_intra:
+                levels, n_events = self._parse_intra_mb(reader, None, row, col, header)
+                yield col, (levels, None, None), header.cbp, n_events
+                continue
+            if vop_type is VopType.P:
+                predictor = self._mv_predictor(
+                    mv_grid, row, col, cross_row=not self.resync_markers
                 )
+                dx = vlc.decode_mv_component(reader)
+                dy = vlc.decode_mv_component(reader)
+                mv_f = MotionVector(predictor.dx + dx, predictor.dy + dy)
+                mv_b = None
+                mv_grid[row][col] = mv_f
             else:
-                pred_fwd, pred_bwd = self._decode_b_mb(
-                    reader, qp, mb_y, mb_x, past, future, recon_store,
-                    pred_fwd, pred_bwd, vop_stats,
-                )
+                mode = PredictionMode(reader.read_bits(2))
+                mv_f = mv_b = None
+                if mode in (PredictionMode.FORWARD, PredictionMode.BIDIRECTIONAL):
+                    dx = vlc.decode_mv_component(reader)
+                    dy = vlc.decode_mv_component(reader)
+                    mv_f = MotionVector(pred_fwd.dx + dx, pred_fwd.dy + dy)
+                    pred_fwd = mv_f
+                if mode in (PredictionMode.BACKWARD, PredictionMode.BIDIRECTIONAL):
+                    dx = vlc.decode_mv_component(reader)
+                    dy = vlc.decode_mv_component(reader)
+                    mv_b = MotionVector(pred_bwd.dx + dx, pred_bwd.dy + dy)
+                    pred_bwd = mv_b
+            if inline_texture:
+                blocks, n_events = self._read_residual(reader, header.cbp)
+            else:
+                blocks, n_events = [], 0
+            yield col, (blocks, mv_f, mv_b), header.cbp, n_events
 
-    # -- batched decode: row-by-row parse, whole-VOP reconstruction ----------
+    def _reconstruct_mb(self, record, qp, past, future, recon_store, row, col) -> None:
+        """Rebuild one parsed macroblock in ``recon_store``."""
+        residual, past_mv, future_mv = record
+        mb_y = row * MB_SIZE
+        mb_x = col * MB_SIZE
+        if past_mv is None and future_mv is None:
+            recon = self._recon_idct(
+                dequantize_any(residual, qp, True, self.quant_method)
+            )
+        else:
+            predictions = [
+                self._predict_mb(store, mb_y, mb_x, mv)
+                for store, mv in ((past, past_mv), (future, future_mv))
+                if mv is not None
+            ]
+            recon = predictions[0]
+            if len(predictions) == 2:  # bidirectional: the rounded average
+                recon = (recon + predictions[1] + 1.0) // 2
+            if residual:  # an MB without coded blocks is its prediction
+                levels = np.zeros((6, 64), dtype=np.int32)
+                for index, rasters, values in residual:
+                    levels[index, rasters] = values
+                levels = levels.reshape(6, 8, 8)
+                recon = recon + self._recon_idct(
+                    dequantize_any(levels, qp, False, self.quant_method)
+                )
+        self._scatter_mb(recon_store, mb_y, mb_x, recon)
+
+    def _count_mb(
+        self, vop_stats, record, cbp, n_events, recon_store, row, col
+    ) -> None:
+        """Statistics and texture trace hook of one decoded macroblock."""
+        residual, past_mv, future_mv = record
+        if residual is None:
+            vop_stats.skipped_mbs += 1
+            return
+        intra = past_mv is None and future_mv is None
+        if intra:
+            vop_stats.intra_mbs += 1
+        else:
+            vop_stats.inter_mbs += 1
+        vop_stats.coded_coefficients += n_events
+        if self._rec is not None:
+            # The trace model charges an intra MB's texture pipeline for
+            # all six blocks and their DC terms, except in a
+            # data-partitioned packet: there only the coded blocks and
+            # their texture-partition events count.
+            n_blocks = bin(cbp).count("1")
+            n_traced = n_events
+            if intra and self.data_partitioning:
+                n_traced -= 6
+            elif intra:
+                n_blocks = 6
+            self._tk.mb_texture(
+                self._rec, "intra_dec" if intra else "inter_dec", None,
+                recon_store.fmap, row * MB_SIZE, col * MB_SIZE,
+                n_coded_blocks=n_blocks, n_events=n_traced,
+            )
+
+    # -- batched decode: whole-VOP reconstruction ------------------------------
+
+    def _check_predictions(self, record, past, future, row, col) -> None:
+        """Raise, and emit the MC trace hooks, exactly where
+        :meth:`_predict_mb` would for this record.
+
+        The batched engine defers compensation to
+        :meth:`_reconstruct_rows`, so a corrupt motion vector must be
+        rejected at the same parse point to keep tolerant decodes and
+        traces identical.
+        """
+        residual, past_mv, future_mv = record
+        mb_y = row * MB_SIZE
+        mb_x = col * MB_SIZE
+        for store, mv in ((past, past_mv), (future, future_mv)):
+            if mv is None:
+                continue
+            if residual is not None:  # a skipped MB's zero vector stays inside
+                self._check_plane_bounds(
+                    store.y.shape, BORDER + mb_y, BORDER + mb_x, mv, MB_SIZE
+                )
+                self._check_plane_bounds(
+                    store.u.shape, BORDER + mb_y // 2, BORDER + mb_x // 2,
+                    mv.chroma(), 8,
+                )
+            if self._rec is not None:
+                self._tk.mc_mb(self._rec, store.fmap, mb_y, mb_x, mv.dx | mv.dy)
 
     @staticmethod
     def _check_plane_bounds(shape, y: int, x: int, mv: MotionVector, size: int) -> None:
@@ -569,36 +702,6 @@ class VopDecoder:
             raise ValueError(
                 f"compensation source ({src_y}, {src_x}) size {need_y}x{need_x} "
                 f"escapes reference {height}x{width}"
-            )
-
-    def _check_mc_bounds(
-        self, store_ref: FrameStore, mb_y: int, mb_x: int, mv: MotionVector
-    ) -> None:
-        """Raise exactly where the per-MB reference prediction would.
-
-        The reference decoder's :meth:`_predict_mb` raises (from
-        ``compensate``) *before* emitting its trace hook; the batched row
-        decoder defers the actual compensation, so a corrupt motion
-        vector must be rejected at the same parse point to keep tolerant
-        decodes and traces identical.
-        """
-        self._check_plane_bounds(
-            store_ref.y.shape, BORDER + mb_y, BORDER + mb_x, mv, MB_SIZE
-        )
-        self._check_plane_bounds(
-            store_ref.u.shape, BORDER + mb_y // 2, BORDER + mb_x // 2, mv.chroma(), 8
-        )
-
-    def _emit_mc_hook(self, store_ref: FrameStore, mb_y: int, mb_x: int, mv) -> None:
-        if self._rec is not None:
-            self._tk.mc_mb(self._rec, store_ref.fmap, mb_y, mb_x, mv.dx | mv.dy)
-
-    def _emit_texture_hook(self, kind: str, recon_store, mb_y, mb_x, cbp, n_events):
-        if self._rec is not None:
-            self._tk.mb_texture(
-                self._rec, kind, None, recon_store.fmap, mb_y, mb_x,
-                n_coded_blocks=bin(cbp).count("1") if kind == "inter_dec" else 6,
-                n_events=n_events,
             )
 
     def _scatter_row_pixels(self, store: FrameStore, row: int, pixels: np.ndarray) -> None:
@@ -618,130 +721,6 @@ class VopDecoder:
         store.v[cy0 : cy0 + 8, BORDER : BORDER + mb_cols * 8] = (
             pixels[:, 5].transpose(1, 0, 2).reshape(8, mb_cols * 8)
         )
-
-    def _decode_mb_row_batched(
-        self, reader, vop_type, qp, past, future, recon_store,
-        vop_stats, dc_preds, mv_grid, row,
-    ) -> list[tuple]:
-        """Parse one macroblock row; returns one record per macroblock.
-
-        Walks the row through the same VLC parse as the reference decoder
-        -- emitting statistics, trace hooks and parse-time errors in
-        identical order -- but only records what each MB needs for
-        :meth:`_reconstruct_rows`: ``(residual, past_mv, future_mv)``.
-        An intra MB's residual is its ``(6, 8, 8)`` levels and it has no
-        vectors; an inter MB's is its coded blocks (see
-        :meth:`_read_residual`), with the vector of each reference it
-        predicts from.  A parse error returns nothing, which is
-        outcome-identical: concealment overwrites the whole row strip.
-        """
-        mb_cols = self.width // MB_SIZE
-        records: list[tuple] = []
-        pred_fwd = ZERO_MV
-        pred_bwd = ZERO_MV
-        # Manual enter/exit keeps the 100-line parse loop unindented; a
-        # parse error leaks the span, which the enclosing VOP span's
-        # unwind still commits.
-        parse_span = obs.span("codec.decode.vlc_parse", row=row)
-        parse_span.__enter__()
-        for col in range(mb_cols):
-            mb_y = row * MB_SIZE
-            mb_x = col * MB_SIZE
-            if vop_type is VopType.I:
-                levels, n_events = self._parse_intra_mb(reader, dc_preds, row, col)
-                vop_stats.intra_mbs += 1
-                vop_stats.coded_coefficients += n_events
-                self._emit_texture_hook(
-                    "intra_dec", recon_store, mb_y, mb_x, 0, n_events
-                )
-                records.append((levels, None, None))
-                continue
-            header = vlc.decode_macroblock_header(reader, inter_allowed=True)
-            if vop_type is VopType.P:
-                if header.is_skipped:
-                    # A zero vector cannot leave the store: no bounds check.
-                    self._emit_mc_hook(past, mb_y, mb_x, ZERO_MV)
-                    vop_stats.skipped_mbs += 1
-                    mv_grid[row][col] = ZERO_MV
-                    records.append((None, ZERO_MV, None))
-                    continue
-                if header.is_intra:
-                    levels, n_events = self._parse_intra_mb(
-                        reader, None, row, col, inter_allowed=True, header=header
-                    )
-                    vop_stats.intra_mbs += 1
-                    vop_stats.coded_coefficients += n_events
-                    self._emit_texture_hook(
-                        "intra_dec", recon_store, mb_y, mb_x, 0, n_events
-                    )
-                    mv_grid[row][col] = ZERO_MV
-                    records.append((levels, None, None))
-                    continue
-                predictor = self._mv_predictor(
-                    mv_grid, row, col, cross_row=not self.resync_markers
-                )
-                dx = vlc.decode_mv_component(reader)
-                dy = vlc.decode_mv_component(reader)
-                mv = MotionVector(predictor.dx + dx, predictor.dy + dy)
-                mv_grid[row][col] = mv
-                blocks, n_events = self._read_residual(reader, header.cbp)
-                self._check_mc_bounds(past, mb_y, mb_x, mv)
-                self._emit_mc_hook(past, mb_y, mb_x, mv)
-                vop_stats.inter_mbs += 1
-                vop_stats.coded_coefficients += n_events
-                self._emit_texture_hook(
-                    "inter_dec", recon_store, mb_y, mb_x, header.cbp, n_events
-                )
-                records.append((blocks, mv, None))
-                continue
-            # B-VOP
-            if header.is_skipped:
-                self._emit_mc_hook(past, mb_y, mb_x, ZERO_MV)
-                self._emit_mc_hook(future, mb_y, mb_x, ZERO_MV)
-                vop_stats.skipped_mbs += 1
-                records.append((None, ZERO_MV, ZERO_MV))
-                continue
-            if header.is_intra:
-                levels, n_events = self._parse_intra_mb(
-                    reader, None, 0, 0, inter_allowed=True, header=header
-                )
-                vop_stats.intra_mbs += 1
-                vop_stats.coded_coefficients += n_events
-                self._emit_texture_hook(
-                    "intra_dec", recon_store, mb_y, mb_x, 0, n_events
-                )
-                records.append((levels, None, None))
-                continue
-            mode = PredictionMode(reader.read_bits(2))
-            mv_f = mv_b = None
-            if mode in (PredictionMode.FORWARD, PredictionMode.BIDIRECTIONAL):
-                dx = vlc.decode_mv_component(reader)
-                dy = vlc.decode_mv_component(reader)
-                mv_f = MotionVector(pred_fwd.dx + dx, pred_fwd.dy + dy)
-                pred_fwd = mv_f
-            if mode in (PredictionMode.BACKWARD, PredictionMode.BIDIRECTIONAL):
-                dx = vlc.decode_mv_component(reader)
-                dy = vlc.decode_mv_component(reader)
-                mv_b = MotionVector(pred_bwd.dx + dx, pred_bwd.dy + dy)
-                pred_bwd = mv_b
-            blocks, n_events = self._read_residual(reader, header.cbp)
-            if mode is not PredictionMode.BACKWARD:
-                self._check_mc_bounds(past, mb_y, mb_x, mv_f)
-                self._emit_mc_hook(past, mb_y, mb_x, mv_f)
-            if mode is not PredictionMode.FORWARD:
-                self._check_mc_bounds(future, mb_y, mb_x, mv_b)
-                self._emit_mc_hook(future, mb_y, mb_x, mv_b)
-            vop_stats.inter_mbs += 1
-            vop_stats.coded_coefficients += n_events
-            self._emit_texture_hook(
-                "inter_dec", recon_store, mb_y, mb_x, header.cbp, n_events
-            )
-            records.append((blocks, mv_f, mv_b))
-        parse_span.__exit__(None, None, None)
-        # Dequantization waits for the reconstruction pass; a resync
-        # marker's out-of-range quantizer must still fail inside this row.
-        validate_qp(qp)
-        return records
 
     def _reconstruct_rows(self, pending, past, future, recon_store) -> None:
         """Reconstruct parsed rows in one pass, emptying ``pending``.
@@ -844,7 +823,9 @@ class VopDecoder:
         mode: macroblocks keep their motion/DC reconstruction and only
         the texture residual is dropped (or salvaged backward via RVLC).
         """
-        records = self._parse_motion_partition(reader, vop_type, dc_preds, mv_grid, row)
+        parsed = list(self._parse_mb_row(
+            reader, vop_type, dc_preds, mv_grid, row, None, vop_stats
+        ))
 
         marker_pos = reader.bit_position
         suffix = reader.next_startcode()
@@ -861,9 +842,9 @@ class VopDecoder:
         tex_end = reader.find_startcode_prefix()
         coded = [
             (col, index)
-            for col, record in enumerate(records)
+            for col, _, cbp, _ in parsed
             for index in range(6)
-            if record.cbp & (1 << (5 - index))
+            if cbp & (1 << (5 - index))
         ]
         events_store: dict[tuple[int, int], list] = {}
         forward_ends: list[int] = []
@@ -877,7 +858,7 @@ class VopDecoder:
                         bit_position=reader.bit_position,
                     )
             except Exception:
-                if not getattr(self, "_tolerate_errors", False):
+                if not self._tolerate_errors:
                     raise
                 failed_at = ci
                 break
@@ -906,7 +887,8 @@ class VopDecoder:
                     # backward blocks are even less trustworthy.
                     break
                 col, _ = coded[ci]
-                capacity = 63 if records[col].kind == "intra" else 64
+                _, past_mv, future_mv = parsed[col][1]
+                capacity = 63 if past_mv is None and future_mv is None else 64
                 if not self._events_fit(events, capacity):
                     continue
                 events_store[coded[ci]] = events
@@ -921,84 +903,29 @@ class VopDecoder:
         if failed_at is not None:
             reader.seek_bits(tex_end)
 
-        self._reconstruct_partitioned_row(
-            records, events_store, vop_type, qp, past, future,
-            recon_store, vop_stats, row,
-        )
-
-    def _parse_motion_partition(self, reader, vop_type, dc_preds, mv_grid, row):
-        """Partition 1: per-macroblock headers, motion vectors, intra DCs."""
-        mb_cols = self.width // MB_SIZE
-        records: list[_MbRecord] = []
-        pred_fwd = ZERO_MV
-        pred_bwd = ZERO_MV
-        for col in range(mb_cols):
-            if vop_type is VopType.I:
-                header = vlc.decode_macroblock_header(reader, inter_allowed=False)
-                if not header.is_intra:
-                    raise PartitionError(
-                        "inter macroblock header in an I-VOP partition",
-                        bit_position=reader.bit_position,
-                    )
-                dcs = self._read_partition_dcs(reader, dc_preds, row, col)
-                records.append(_MbRecord("intra", cbp=header.cbp, dcs=dcs))
-                continue
-            header = vlc.decode_macroblock_header(reader, inter_allowed=True)
-            if header.is_skipped:
-                records.append(_MbRecord("skip"))
-                mv_grid[row][col] = ZERO_MV
-                continue
-            if header.is_intra:
-                dcs = self._read_partition_dcs(reader, None, row, col)
-                records.append(_MbRecord("intra", cbp=header.cbp, dcs=dcs))
-                mv_grid[row][col] = ZERO_MV
-                continue
-            if vop_type is VopType.P:
-                predictor = self._mv_predictor(mv_grid, row, col, cross_row=False)
-                dx = vlc.decode_mv_component(reader)
-                dy = vlc.decode_mv_component(reader)
-                mv = MotionVector(predictor.dx + dx, predictor.dy + dy)
-                mv_grid[row][col] = mv
-                records.append(_MbRecord("inter", cbp=header.cbp, mv=mv))
-                continue
-            mode = PredictionMode(reader.read_bits(2))
-            mv_f = mv_b = None
-            if mode in (PredictionMode.FORWARD, PredictionMode.BIDIRECTIONAL):
-                dx = vlc.decode_mv_component(reader)
-                dy = vlc.decode_mv_component(reader)
-                mv_f = MotionVector(pred_fwd.dx + dx, pred_fwd.dy + dy)
-                pred_fwd = mv_f
-            if mode in (PredictionMode.BACKWARD, PredictionMode.BIDIRECTIONAL):
-                dx = vlc.decode_mv_component(reader)
-                dy = vlc.decode_mv_component(reader)
-                mv_b = MotionVector(pred_bwd.dx + dx, pred_bwd.dy + dy)
-                pred_bwd = mv_b
-            records.append(
-                _MbRecord("b", cbp=header.cbp, mode=mode, mv_f=mv_f, mv_b=mv_b)
-            )
-        return records
-
-    def _read_partition_dcs(self, reader, dc_preds, row, col) -> list[int]:
-        """Six DC levels of one intra macroblock, resolved via prediction.
-
-        AC prediction is disabled in partitioned streams (its lines live
-        in the texture partition), so only the DC gradients are stored.
-        """
-        dcs = []
-        for index in range(6):
-            dc_diff = reader.read_se()
-            grid = self._block_grid(dc_preds, index, row, col)
-            if grid is None:
-                predicted = DEFAULT_DC
-                predictor = None
-            else:
-                predictor, block_row, block_col = grid
-                predicted, _ = predictor.predict_with_direction(block_row, block_col)
-            dc = predicted + dc_diff
-            if predictor is not None:
-                predictor.store(block_row, block_col, dc)
-            dcs.append(dc)
-        return dcs
+        # Complete each record with whatever texture survived; a coded
+        # block without it keeps its DC (intra) or prediction (inter).
+        for col, record, cbp, n_events in parsed:
+            residual, past_mv, future_mv = record
+            intra = past_mv is None and future_mv is None
+            lost = False
+            for index in range(6):
+                if not cbp & (1 << (5 - index)):
+                    continue
+                events = events_store.get((col, index))
+                scanned = self._texture_levels(events, 63 if intra else 64)
+                if scanned is None:
+                    lost = True
+                    continue
+                n_events += len(events)
+                if intra:
+                    residual.reshape(6, 64)[index, ZIGZAG[1:]] = scanned
+                else:
+                    residual.append((index, ZIGZAG, scanned))
+            self._reconstruct_mb(record, qp, past, future, recon_store, row, col)
+            if lost:
+                vop_stats.texture_concealed_mbs += 1
+            self._count_mb(vop_stats, record, cbp, n_events, recon_store, row, col)
 
     def _read_texture_events(self, reader) -> list[tuple[int, int, int]]:
         """Run-level events for one texture block, in the stream's VLC."""
@@ -1081,92 +1008,9 @@ class VopDecoder:
         try:
             return events_to_levels(events, length=length)
         except (ValueError, IndexError) as error:
-            if not getattr(self, "_tolerate_errors", False):
+            if not self._tolerate_errors:
                 raise MalformedStreamError(f"invalid texture events: {error}") from error
             return None
-
-    def _reconstruct_partitioned_row(
-        self, records, events_store, vop_type, qp, past, future,
-        recon_store, vop_stats, row,
-    ) -> None:
-        """Rebuild one packet's macroblocks from partition-1 state plus
-        whatever texture survived; texture-less coded blocks fall back to
-        motion-compensated (inter) or DC-only (intra) reconstruction."""
-        for col, record in enumerate(records):
-            mb_y = row * MB_SIZE
-            mb_x = col * MB_SIZE
-            if record.kind == "skip":
-                if vop_type is VopType.P:
-                    prediction = self._predict_mb(past, mb_y, mb_x, ZERO_MV)
-                else:
-                    prediction_f = self._predict_mb(past, mb_y, mb_x, ZERO_MV)
-                    prediction_b = self._predict_mb(future, mb_y, mb_x, ZERO_MV)
-                    prediction = (prediction_f + prediction_b + 1.0) // 2
-                self._scatter_mb(recon_store, mb_y, mb_x, prediction)
-                vop_stats.skipped_mbs += 1
-                continue
-            lost_blocks = 0
-            n_events = 0
-            levels = np.zeros((6, 8, 8), dtype=np.int32)
-            if record.kind == "intra":
-                for index in range(6):
-                    scanned = np.zeros(64, dtype=np.int32)
-                    if record.cbp & (1 << (5 - index)):
-                        events = events_store.get((col, index))
-                        ac = self._texture_levels(events, 63)
-                        if ac is None:
-                            lost_blocks += 1
-                        else:
-                            scanned[1:] = ac
-                            n_events += len(events)
-                    block = inverse_zigzag_scan(scanned)
-                    block[0, 0] = record.dcs[index]
-                    levels[index] = block
-                recon = np.clip(
-                    self._recon_idct(
-                        dequantize_any(levels, qp, True, self.quant_method)
-                    ),
-                    0, 255,
-                )
-                self._scatter_mb(recon_store, mb_y, mb_x, recon)
-                vop_stats.intra_mbs += 1
-                vop_stats.coded_coefficients += n_events + 6
-                trace_kind = "intra_dec"
-            else:
-                for index in range(6):
-                    if not record.cbp & (1 << (5 - index)):
-                        continue
-                    events = events_store.get((col, index))
-                    scanned = self._texture_levels(events, 64)
-                    if scanned is None:
-                        lost_blocks += 1
-                        continue
-                    levels[index] = inverse_zigzag_scan(scanned)
-                    n_events += len(events)
-                if record.kind == "inter":
-                    prediction = self._predict_mb(past, mb_y, mb_x, record.mv)
-                elif record.mode is PredictionMode.FORWARD:
-                    prediction = self._predict_mb(past, mb_y, mb_x, record.mv_f)
-                elif record.mode is PredictionMode.BACKWARD:
-                    prediction = self._predict_mb(future, mb_y, mb_x, record.mv_b)
-                else:
-                    prediction_f = self._predict_mb(past, mb_y, mb_x, record.mv_f)
-                    prediction_b = self._predict_mb(future, mb_y, mb_x, record.mv_b)
-                    prediction = (prediction_f + prediction_b + 1.0) // 2
-                recon = prediction + self._recon_idct(
-                    dequantize_any(levels, qp, False, self.quant_method)
-                )
-                self._scatter_mb(recon_store, mb_y, mb_x, np.clip(recon, 0, 255))
-                vop_stats.inter_mbs += 1
-                vop_stats.coded_coefficients += n_events
-                trace_kind = "inter_dec"
-            if lost_blocks:
-                vop_stats.texture_concealed_mbs += 1
-            if self._rec is not None:
-                self._tk.mb_texture(
-                    self._rec, trace_kind, None, recon_store.fmap, mb_y, mb_x,
-                    n_coded_blocks=bin(record.cbp).count("1"), n_events=n_events,
-                )
 
     def _conceal_row(self, row, vop_type, past, recon_store) -> None:
         """Error concealment for a lost packet: copy the strip from the
@@ -1252,14 +1096,6 @@ class VopDecoder:
             self._tk.mc_mb(self._rec, store_ref.fmap, mb_y, mb_x, mv.dx | mv.dy)
         return prediction
 
-    def _read_residual_levels(self, reader, cbp) -> tuple[np.ndarray, int]:
-        """Inter-coded residual levels for the six blocks; returns (levels, events)."""
-        levels = np.zeros((6, 64), dtype=np.int32)
-        blocks, n_events = self._read_residual(reader, cbp)
-        for index, rasters, values in blocks:
-            levels[index, rasters] = values
-        return levels.reshape(6, 8, 8), n_events
-
     @classmethod
     def _read_residual(cls, reader, cbp) -> tuple[list[tuple], int]:
         """Coded inter blocks as ``[(block, raster indices, levels)]``,
@@ -1301,39 +1137,21 @@ class VopDecoder:
             raise ValueError("run-level events overflow the coefficient block")
         return [_RASTER_OF_SCAN[p] for p in positions], levels
 
-    def _decode_intra_mb(
-        self, reader, qp, mb_y, mb_x, recon_store, dc_preds, row, col, vop_stats,
-        inter_allowed: bool = False, header=None,
-    ) -> None:
-        levels, n_events = self._parse_intra_mb(
-            reader, dc_preds, row, col, inter_allowed, header
-        )
-        recon = np.clip(
-            self._recon_idct(dequantize_any(levels, qp, True, self.quant_method)),
-            0,
-            255,
-        )
-        self._scatter_mb(recon_store, mb_y, mb_x, recon)
-        vop_stats.intra_mbs += 1
-        vop_stats.coded_coefficients += n_events
-        if self._rec is not None:
-            self._tk.mb_texture(
-                self._rec, "intra_dec", None, recon_store.fmap, mb_y, mb_x,
-                n_coded_blocks=6, n_events=n_events,
-            )
-
     def _parse_intra_mb(
-        self, reader, dc_preds, row, col, inter_allowed: bool = False, header=None
+        self, reader, dc_preds, row, col, header
     ) -> tuple[np.ndarray, int]:
-        """Parse one intra macroblock's header, DCs and texture events.
+        """Parse one intra macroblock's DCs and texture events.
 
         Returns the quantized ``(6, 8, 8)`` levels (AC prediction already
-        resolved) plus the event count; reconstruction is the caller's
-        job, so the batched row decoder can defer it to a whole-row pass.
+        resolved) plus the event count, the six DC terms included.  A
+        data-partitioned packet has no AC prediction and carries the
+        texture in its second partition, so only the DCs are read here.
         """
-        if header is None:
-            header = vlc.decode_macroblock_header(reader, inter_allowed)
-        use_ac_pred = bool(reader.read_bit()) if dc_preds is not None else False
+        inline_texture = not self.data_partitioning
+        use_ac_pred = (
+            inline_texture and dc_preds is not None and bool(reader.read_bit())
+        )
+        coded = header.cbp if inline_texture else 0
         levels = np.zeros((6, 64), dtype=np.int32)
         n_events = 6
         for index in range(6):
@@ -1349,7 +1167,7 @@ class VopDecoder:
                 )
             dc = predicted + dc_diff
             block = levels[index]  # raster order: row r, column c at 8r + c
-            if header.cbp & (1 << (5 - index)):
+            if coded & (1 << (5 - index)):
                 rasters, values = self._read_block(reader, 1)
                 n_events += len(values)
                 block[rasters] = values
@@ -1376,44 +1194,6 @@ class VopDecoder:
             return dc_preds["y"], 2 * row + by, 2 * col + bx
         return dc_preds["u" if index == 4 else "v"], row, col
 
-    def _decode_p_mb(
-        self, reader, qp, mb_y, mb_x, past, recon_store, mv_grid, row, col, vop_stats
-    ) -> None:
-        header = vlc.decode_macroblock_header(reader, inter_allowed=True)
-        if header.is_skipped:
-            prediction = self._predict_mb(past, mb_y, mb_x, ZERO_MV)
-            self._scatter_mb(recon_store, mb_y, mb_x, prediction)
-            vop_stats.skipped_mbs += 1
-            mv_grid[row][col] = ZERO_MV
-            return
-        if header.is_intra:
-            self._decode_intra_mb(
-                reader, qp, mb_y, mb_x, recon_store, None, row, col, vop_stats,
-                inter_allowed=True, header=header,
-            )
-            mv_grid[row][col] = ZERO_MV
-            return
-        predictor = self._mv_predictor(
-            mv_grid, row, col, cross_row=not self.resync_markers
-        )
-        dx = vlc.decode_mv_component(reader)
-        dy = vlc.decode_mv_component(reader)
-        mv = MotionVector(predictor.dx + dx, predictor.dy + dy)
-        mv_grid[row][col] = mv
-        levels, n_events = self._read_residual_levels(reader, header.cbp)
-        prediction = self._predict_mb(past, mb_y, mb_x, mv)
-        recon = prediction + self._recon_idct(
-            dequantize_any(levels, qp, False, self.quant_method)
-        )
-        self._scatter_mb(recon_store, mb_y, mb_x, np.clip(recon, 0, 255))
-        vop_stats.inter_mbs += 1
-        vop_stats.coded_coefficients += n_events
-        if self._rec is not None:
-            self._tk.mb_texture(
-                self._rec, "inter_dec", None, recon_store.fmap, mb_y, mb_x,
-                n_coded_blocks=bin(header.cbp).count("1"), n_events=n_events,
-            )
-
     @staticmethod
     def _mv_predictor(mv_grid, row, col, cross_row: bool = True) -> MotionVector:
         left = mv_grid[row][col - 1] if col > 0 else ZERO_MV
@@ -1423,55 +1203,3 @@ class VopDecoder:
         else:
             above_right = ZERO_MV
         return median_mv(left, above, above_right)
-
-    def _decode_b_mb(
-        self, reader, qp, mb_y, mb_x, past, future, recon_store,
-        pred_fwd, pred_bwd, vop_stats,
-    ):
-        header = vlc.decode_macroblock_header(reader, inter_allowed=True)
-        if header.is_skipped:
-            prediction_f = self._predict_mb(past, mb_y, mb_x, ZERO_MV)
-            prediction_b = self._predict_mb(future, mb_y, mb_x, ZERO_MV)
-            prediction = (prediction_f + prediction_b + 1.0) // 2
-            self._scatter_mb(recon_store, mb_y, mb_x, prediction)
-            vop_stats.skipped_mbs += 1
-            return pred_fwd, pred_bwd
-        if header.is_intra:
-            self._decode_intra_mb(
-                reader, qp, mb_y, mb_x, recon_store, None, 0, 0, vop_stats,
-                inter_allowed=True, header=header,
-            )
-            return pred_fwd, pred_bwd
-        mode = PredictionMode(reader.read_bits(2))
-        mv_f = mv_b = None
-        if mode in (PredictionMode.FORWARD, PredictionMode.BIDIRECTIONAL):
-            dx = vlc.decode_mv_component(reader)
-            dy = vlc.decode_mv_component(reader)
-            mv_f = MotionVector(pred_fwd.dx + dx, pred_fwd.dy + dy)
-            pred_fwd = mv_f
-        if mode in (PredictionMode.BACKWARD, PredictionMode.BIDIRECTIONAL):
-            dx = vlc.decode_mv_component(reader)
-            dy = vlc.decode_mv_component(reader)
-            mv_b = MotionVector(pred_bwd.dx + dx, pred_bwd.dy + dy)
-            pred_bwd = mv_b
-        levels, n_events = self._read_residual_levels(reader, header.cbp)
-        if mode is PredictionMode.FORWARD:
-            prediction = self._predict_mb(past, mb_y, mb_x, mv_f)
-        elif mode is PredictionMode.BACKWARD:
-            prediction = self._predict_mb(future, mb_y, mb_x, mv_b)
-        else:
-            prediction_f = self._predict_mb(past, mb_y, mb_x, mv_f)
-            prediction_b = self._predict_mb(future, mb_y, mb_x, mv_b)
-            prediction = (prediction_f + prediction_b + 1.0) // 2
-        recon = prediction + self._recon_idct(
-            dequantize_any(levels, qp, False, self.quant_method)
-        )
-        self._scatter_mb(recon_store, mb_y, mb_x, np.clip(recon, 0, 255))
-        vop_stats.inter_mbs += 1
-        vop_stats.coded_coefficients += n_events
-        if self._rec is not None:
-            self._tk.mb_texture(
-                self._rec, "inter_dec", None, recon_store.fmap, mb_y, mb_x,
-                n_coded_blocks=bin(header.cbp).count("1"), n_events=n_events,
-            )
-        return pred_fwd, pred_bwd

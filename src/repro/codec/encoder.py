@@ -429,93 +429,40 @@ class VopEncoder:
         vop_stats: VopStats,
     ) -> None:
         config = self.config
-        rec = self._rec
-        mb_rows, mb_cols = config.mb_rows, config.mb_cols
-        dc_preds = self._make_dc_predictors() if vop_type is VopType.I else None
-        mv_grid = [[ZERO_MV] * mb_cols for _ in range(mb_rows)]
+        mv_grid = [[ZERO_MV] * config.mb_cols for _ in range(config.mb_rows)]
+        state = {}
 
-        for row in range(mb_rows):
-            if config.resync_markers and row > 0:
-                # One video packet per macroblock row: resync marker plus
-                # enough header state (row index, quantizer) to decode the
-                # packet independently.  Prediction must not cross packets.
-                writer.write_startcode(RESYNC_STARTCODE)
-                writer.write_ue(row)
-                writer.write_bits(qp, 5)
-                if dc_preds is not None:
-                    dc_preds = self._make_dc_predictors()
-            if rec is not None:
-                rec.begin_mb_row(row)
-            if config.data_partitioning:
-                # Motion/DC data goes to the packet head, texture events
-                # to a side buffer spliced in after the motion marker.
-                texture = BitWriter()
-                self._encode_mb_row(
-                    writer, texture, vop_type, qp, mask, past, future,
-                    recon_store, vop_stats, dc_preds, mv_grid, row,
-                )
-                writer.write_startcode(MOTION_MARKER_STARTCODE)
-                writer.extend(texture)
-            else:
-                self._encode_mb_row(
-                    writer, writer, vop_type, qp, mask, past, future,
-                    recon_store, vop_stats, dc_preds, mv_grid, row,
-                )
+        def on_row(row: int) -> None:
+            # Prediction must not cross video packets.
+            if vop_type is VopType.I and (row == 0 or config.resync_markers):
+                state["dc_preds"] = self._make_dc_predictors()
+            state["pred_mvs"] = (ZERO_MV, ZERO_MV)
 
-    def _encode_mb_row(
-        self,
-        writer: BitWriter,
-        texture_writer: BitWriter,
-        vop_type: VopType,
-        qp: int,
-        mask: np.ndarray | None,
-        past: FrameStore | None,
-        future: FrameStore | None,
-        recon_store: FrameStore,
-        vop_stats: VopStats,
-        dc_preds,
-        mv_grid,
-        row: int,
-    ) -> None:
-        rec = self._rec
-        mb_cols = self.config.mb_cols
-        split = texture_writer is not writer
-        pred_fwd = ZERO_MV
-        pred_bwd = ZERO_MV
-        for col in range(mb_cols):
-            mb_y = row * MB_SIZE
-            mb_x = col * MB_SIZE
+        def code_mb(writer, texture, row: int, col: int) -> None:
+            mb_y, mb_x = row * MB_SIZE, col * MB_SIZE
             if mask is not None and not mask[
                 mb_y : mb_y + MB_SIZE, mb_x : mb_x + MB_SIZE
             ].any():
                 vop_stats.transparent_mbs += 1
                 mv_grid[row][col] = ZERO_MV
-                continue
-            bits_before = writer.bit_position + (
-                texture_writer.bit_position if split else 0
-            )
+                return
             if vop_type is VopType.I:
                 self._code_intra_mb(
-                    writer, qp, mb_y, mb_x, recon_store, dc_preds, row, col,
-                    vop_stats, texture_writer=texture_writer,
+                    writer, qp, mb_y, mb_x, recon_store, state["dc_preds"], row, col,
+                    vop_stats, texture_writer=texture,
                 )
             elif vop_type is VopType.P:
                 self._code_p_mb(
-                    writer, texture_writer, qp, mb_y, mb_x, past, recon_store,
+                    writer, texture, qp, mb_y, mb_x, past, recon_store,
                     mv_grid, row, col, vop_stats,
                 )
             else:
-                pred_fwd, pred_bwd = self._code_b_mb(
-                    writer, texture_writer, qp, mb_y, mb_x, past, future,
-                    recon_store, pred_fwd, pred_bwd, vop_stats,
+                state["pred_mvs"] = self._code_b_mb(
+                    writer, texture, qp, mb_y, mb_x, past, future,
+                    recon_store, *state["pred_mvs"], vop_stats,
                 )
-            if rec is not None:
-                bits_after = writer.bit_position + (
-                    texture_writer.bit_position if split else 0
-                )
-                self._tk.stream_write(
-                    rec, self._stream_region, (bits_after - bits_before + 7) // 8
-                )
+
+        self._serialize_rows(writer, qp, code_mb, on_row)
 
     # -- batched (frame-level) macroblock layer --------------------------------
 
@@ -683,17 +630,20 @@ class VopEncoder:
                 )
 
     def _serialize_rows(self, writer: BitWriter, qp: int, code_mb, on_row=None) -> None:
-        """Row scaffolding shared by the batched serializers.
+        """Row scaffolding shared by every macroblock encoder.
 
-        Replicates the reference row loop exactly: resync markers,
-        per-row prediction resets (``on_row``), the row trace hook and
-        data-partition splicing (motion marker + texture splice), with
-        per-MB ``stream_write`` accounting across both writers.
+        Resync markers, per-row prediction resets (``on_row``), the row
+        trace hook and data-partition splicing (motion marker + texture
+        splice), with per-MB ``stream_write`` accounting across both
+        writers.
         """
         config = self.config
         rec = self._rec
         for row in range(config.mb_rows):
             if config.resync_markers and row > 0:
+                # One video packet per macroblock row: resync marker plus
+                # enough header state (row index, quantizer) to decode the
+                # packet independently.  Prediction must not cross packets.
                 writer.write_startcode(RESYNC_STARTCODE)
                 writer.write_ue(row)
                 writer.write_bits(qp, 5)
@@ -701,6 +651,8 @@ class VopEncoder:
                 on_row(row)
             if rec is not None:
                 rec.begin_mb_row(row)
+            # Motion/DC data goes to the packet head, texture events to a
+            # side buffer spliced in after the motion marker.
             texture = BitWriter() if config.data_partitioning else writer
             split = texture is not writer
             for col in range(config.mb_cols):

@@ -364,40 +364,6 @@ class RecoveryReport:
         )
 
 
-def _fast_report(
-    specs: list[SessionSpec],
-    schedule: FleetSchedule,
-    policy: RecoveryPolicy,
-) -> RecoveryReport:
-    """No faults scheduled: every admitted session succeeds on attempt 1
-    with its planned timing.  This is the path ``repro serve`` effectively
-    takes, so it must stay trivially cheap (the <2% overhead guard)."""
-    by_id = {spec.session_id: spec for spec in specs}
-    chains = []
-    outcomes = {OUTCOME_SERVED: 0, OUTCOME_SERVED_RETRY: 0,
-                OUTCOME_DEGRADED: 0, OUTCOME_QUARANTINED: 0}
-    for plan in schedule.plans:
-        if not plan.admitted:
-            continue
-        outcomes[plan.outcome] += 1
-        chains.append(
-            SessionChain(
-                session_id=plan.session_id,
-                outcome=plan.outcome,
-                attempts=(
-                    AttemptRecord(1, plan.mode, plan.start_vms,
-                                  plan.finish_vms, ok=True),
-                ),
-                final_mode=plan.mode,
-                channel_seed=by_id[plan.session_id].channel_seed,
-            )
-        )
-    report = RecoveryReport(policy=policy.name, chains=chains,
-                            outcomes=outcomes)
-    report.total_attempts = len(chains)
-    return report
-
-
 def simulate_recovery(
     specs: list[SessionSpec],
     schedule: FleetSchedule,
@@ -413,9 +379,6 @@ def simulate_recovery(
     every policy would conflate recovery behaviour with admission
     behaviour, and the study wants them separable.
     """
-    if not plan.enabled:
-        return _fast_report(specs, schedule, policy)
-
     by_id = {spec.session_id: spec for spec in specs}
     admitted_plans = [p for p in schedule.plans if p.admitted]
     breakers: dict[int, CircuitBreaker] = {}

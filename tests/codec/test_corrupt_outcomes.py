@@ -13,7 +13,8 @@ with B-VOPs; no resync with M=1; data partitioning with RVLC), plus a
 few hand-picked cases that exercise rare decoder paths: a P-VOP whose
 damaged display index makes it predict from its own frame store, a
 resync marker carrying ``qp = 0``, and rows concealed after they had
-decoded.  Both codec engines are pinned.
+decoded.  Both codec engines are pinned, and since they share one
+macroblock parser they must also agree with each other.
 
 Re-record only when a change is *meant* to alter decode outcomes::
 
@@ -50,6 +51,19 @@ CONFIGS = {
     ),
 }
 
+#: Cases whose damaged display index makes a P-VOP predict from the
+#: frame store it is writing.  The reference engine rebuilds each
+#: macroblock as soon as it is parsed, so later macroblocks of a row
+#: predict from earlier ones; the batched engine rebuilds the row at
+#: once, from the store as it stood before the row.  Their tolerant
+#: frames differ in the concealed pixels; nothing else does.
+SELF_REFERENCING_CASES: list[tuple[str, int, str]] = [
+    ("plain_m1", 3214466863439, "burst"),
+    ("plain_m1", 139518505060110, "bitflip"),
+    ("plain_m1", 19791727917557, "arith"),
+    ("plain_m1", 186401205928058, "burst"),
+]
+
 #: Hand-picked ``(config, seed, mutation)`` cases that reach rare paths.
 EXTRA_CASES: list[tuple[str, int, str]] = [
     # A resync marker with qp 0, and rows concealed after they decoded
@@ -57,12 +71,7 @@ EXTRA_CASES: list[tuple[str, int, str]] = [
     ("resync", 277923541679480, "bitflip"),
     ("resync", 159956864535882, "arith"),
     ("resync", 10324411169851, "arith"),
-    # A P-VOP predicting from the frame store it is writing.
-    ("plain_m1", 3214466863439, "burst"),
-    ("plain_m1", 139518505060110, "bitflip"),
-    ("plain_m1", 19791727917557, "arith"),
-    ("plain_m1", 186401205928058, "burst"),
-]
+] + SELF_REFERENCING_CASES
 
 ENGINES = (ENGINE_BATCHED, ENGINE_REFERENCE)
 
@@ -83,19 +92,24 @@ def _sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def decode_outcome(data: bytes, tolerant: bool) -> str:
-    """``<Error>@<bit>`` or ``clean|concealed:<sha256 of the frames>``."""
+def decode_result(data: bytes, tolerant: bool) -> tuple[str, list]:
+    """``(outcome, vop_stats)``; the outcome is ``<Error>@<bit>`` (with
+    no statistics) or ``clean|concealed:<sha256 of the frames>``."""
     try:
         decoded = VopDecoder().decode_sequence(data, tolerate_errors=tolerant)
     except BitstreamError as error:
-        return f"{type(error).__name__}@{error.bit_position}"
+        return f"{type(error).__name__}@{error.bit_position}", []
     frames = b"".join(
         plane.tobytes()
         for frame in decoded.frames
         for plane in (frame.y, frame.u, frame.v)
     )
     verdict = "clean" if decoded.is_clean else "concealed"
-    return f"{verdict}:{_sha256(frames)}"
+    return f"{verdict}:{_sha256(frames)}", decoded.vop_stats
+
+
+def decode_outcome(data: bytes, tolerant: bool) -> str:
+    return decode_result(data, tolerant)[0]
 
 
 def _corpus() -> list[tuple[str, FuzzCase]]:
@@ -178,6 +192,33 @@ def test_replay_matches_pinned_outcomes(table, streams, engine):
                     mismatches.append(
                         f"{row['config']} {case} {mode}: {actual} != {expected}"
                     )
+    assert not mismatches, "\n".join(mismatches)
+
+
+def test_engines_agree(table, streams):
+    """Same strict error and bit, same tolerant statistics, and the same
+    tolerant frames except where a P-VOP predicts from its own store."""
+    self_referencing = {(name, seed) for name, seed, _ in SELF_REFERENCING_CASES}
+    mismatches = []
+    for row in table["cases"]:
+        case = FuzzCase(row["seed"], row["mutation"])
+        corrupt = case.apply(streams[row["config"]])
+        results = []
+        for engine in ENGINES:
+            with engine_env(engine):
+                results.append((
+                    decode_outcome(corrupt, tolerant=False),
+                    *decode_result(corrupt, tolerant=True),
+                ))
+        (strict, frames, stats), (ref_strict, ref_frames, ref_stats) = results
+        label = f"{row['config']} {case}"
+        if strict != ref_strict:
+            mismatches.append(f"{label} strict: {strict} != {ref_strict}")
+        if stats != ref_stats:
+            mismatches.append(f"{label}: tolerant vop_stats differ")
+        known = (row["config"], row["seed"]) in self_referencing
+        if frames != ref_frames and not known:
+            mismatches.append(f"{label} tolerant: {frames} != {ref_frames}")
     assert not mismatches, "\n".join(mismatches)
 
 

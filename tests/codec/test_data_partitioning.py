@@ -98,6 +98,31 @@ class TestPartitionedRoundtrip:
         for recon, out in zip(encoded.reconstructions, decoded.frames):
             assert np.array_equal(recon.y, out.y)
 
+    def test_traced_intra_texture_counts_partition_events(self, monkeypatch):
+        """The trace charges a partitioned intra MB's texture pipeline
+        for its coded blocks and their texture-partition events only; the
+        DC terms (partition 1) count in the statistics, not in the hook."""
+        from repro.core.machines import SGI_O2
+        from repro.trace import TraceRecorder, kernels
+
+        hooks = []
+        mb_texture = kernels.mb_texture
+
+        def spy(rec, kind, *args, n_coded_blocks, n_events):
+            hooks.append((kind, n_coded_blocks, n_events))
+            mb_texture(rec, kind, *args, n_coded_blocks=n_coded_blocks,
+                       n_events=n_events)
+
+        monkeypatch.setattr(kernels, "mb_texture", spy)
+        recorder = TraceRecorder([SGI_O2.build_hierarchy()])
+        decoded = VopDecoder(recorder=recorder).decode_sequence(encode(n=1).data)
+        (stats,) = decoded.vop_stats
+        assert [kind for kind, _, _ in hooks] == ["intra_dec"] * stats.intra_mbs
+        assert sum(events for _, _, events in hooks) == (
+            stats.coded_coefficients - 6 * stats.intra_mbs
+        )
+        assert min(blocks for _, blocks, _ in hooks) < 6
+
 
 class TestTextureDamage:
     def test_texture_loss_falls_back_to_concealment(self):
