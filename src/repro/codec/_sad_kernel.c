@@ -1,75 +1,191 @@
-/* Full-pel exhaustive SAD motion search over every macroblock of a VOP.
+/* Motion search for every macroblock of a VOP: full-pel exhaustive SAD
+ * search, its early-termination work model, and half-pel refinement.
  *
- * Exact transcription of the window semantics of motion.full_search on
- * an *unclamped* search window (search_range <= BORDER guarantees the
- * expanded reference plane contains every candidate):
+ * search_mb() is an exact transcription of motion.full_search
+ * (model_work=True) followed by motion.half_pel_refine, its NumPy
+ * oracle:
  *
- *   - candidates are scanned row-major in (dy, dx);
- *   - a strictly smaller SAD wins, so the first minimum in scan order is
- *     kept -- matching np.argmin over the candidate grid;
- *   - the (0, 0) candidate is biased by -zero_bias before comparison and
- *     the bias is re-added when it wins (MoMuSys zero-MV bias).
+ *   - the window is clamped to the plane and candidates are scanned
+ *     row-major in (dy, dx);
+ *   - the running best is seeded with the zero vector's SAD minus
+ *     zero_bias (the MoMuSys zero-MV bias), and the bias is re-added
+ *     when (0, 0) wins;
+ *   - the winner is the first minimum in scan order, as np.argmin picks
+ *     it: a candidate scanned before (0, 0) also wins a tie with the
+ *     seed, a later one needs a strictly smaller SAD;
+ *   - each candidate accumulates its SAD row by row and stops after the
+ *     first row whose partial sum exceeds the running best.  The partial
+ *     sum only grows, so this never changes the winner, and the rows
+ *     each candidate processes are the work model the trace replays:
+ *     F_READS is 16 reads per processed row, and row_coverage counts,
+ *     per window row, the candidate rows that touch it.  As in the
+ *     model, (0, 0) compares its unbiased partial sums with the biased
+ *     best;
+ *   - half-pel refinement scores the eight bilinear neighbours of the
+ *     full-pel winner in (dy, dx) row-major order, skipping those whose
+ *     source leaves the plane; a strictly smaller SAD wins.
  *
- * The row-wise early exit mirrors the early-terminating scalar loop the
- * trace work model describes: a candidate whose partial SAD already
- * exceeds the running best can only grow, so skipping its remaining rows
- * never changes the winner or the winning SAD.
+ * sad_full_search() runs it over every macroblock of a padded plane,
+ * one record of N_FIELDS int64 values per macroblock (field order
+ * mirrored by repro.codec.batched).
  */
 
 #include <stdint.h>
-#include <limits.h>
 
-void sad_full_search(
-    const uint8_t *ref, const uint8_t *cur, int64_t stride,
-    int64_t mb_rows, int64_t mb_cols, int64_t border,
-    int64_t range, int64_t zero_bias,
-    int32_t *out_dx, int32_t *out_dy, int32_t *out_sad)
+enum { N = 16 };
+
+enum {
+    F_FULL_DX, F_FULL_DY, F_FULL_SAD, F_CANDIDATES, F_READS,
+    F_COVER_ROWS, F_DX, F_DY, F_SAD, F_EVALUATED, N_FIELDS
+};
+
+static inline int32_t row_sad(const uint8_t *a, const uint8_t *b)
 {
-    const int64_t n = 16;
-    for (int64_t mr = 0; mr < mb_rows; mr++) {
-        for (int64_t mc = 0; mc < mb_cols; mc++) {
-            const int64_t y0 = border + mr * n;
-            const int64_t x0 = border + mc * n;
-            const uint8_t *cb = cur + y0 * stride + x0;
-            int32_t best = INT32_MAX;
-            int32_t best_dy = 0, best_dx = 0;
-            for (int64_t dy = -range; dy <= range; dy++) {
-                const uint8_t *rrow = ref + (y0 + dy) * stride + x0;
-                for (int64_t dx = -range; dx <= range; dx++) {
-                    const uint8_t *rp = rrow + dx;
-                    const uint8_t *cp = cb;
-                    const int is_zero = (dy == 0 && dx == 0);
-                    /* Early-exit threshold in *unbiased* units. */
-                    const int64_t limit =
-                        is_zero ? (int64_t)best + zero_bias : (int64_t)best;
-                    int32_t sad = 0;
-                    for (int64_t y = 0; y < n; y++) {
-                        int32_t row = 0;
-                        for (int64_t x = 0; x < n; x++) {
-                            int32_t d = (int32_t)rp[x] - (int32_t)cp[x];
-                            row += d < 0 ? -d : d;
-                        }
-                        sad += row;
-                        if ((int64_t)sad > limit)
-                            break;
-                        rp += stride;
-                        cp += stride;
-                    }
-                    if (is_zero)
-                        sad -= (int32_t)zero_bias;
-                    if (sad < best) {
-                        best = sad;
-                        best_dy = (int32_t)dy;
-                        best_dx = (int32_t)dx;
-                    }
+    int32_t s = 0;
+    for (int x = 0; x < N; x++) {
+        int32_t d = (int32_t)a[x] - (int32_t)b[x];
+        s += d < 0 ? -d : d;
+    }
+    return s;
+}
+
+/* SAD of the bilinear half-pel prediction whose top-left source pixel is
+ * p against the current block; stops once it exceeds limit. */
+static int32_t halfpel_sad(const uint8_t *p, const uint8_t *cb,
+                           int64_t stride, int rx, int ry, int32_t limit)
+{
+    int32_t s = 0;
+    for (int y = 0; y < N; y++) {
+        const uint8_t *a = p + y * stride, *b = a + (ry ? stride : 0);
+        const uint8_t *c = cb + y * stride;
+        for (int x = 0; x < N; x++) {
+            int32_t pred;
+            if (rx && ry)
+                pred = (a[x] + a[x + 1] + b[x] + b[x + 1] + 2) >> 2;
+            else if (rx)
+                pred = (a[x] + a[x + 1] + 1) >> 1;
+            else
+                pred = (a[x] + b[x] + 1) >> 1;
+            int32_t d = pred - (int32_t)c[x];
+            s += d < 0 ? -d : d;
+        }
+        if (s > limit)
+            break;
+    }
+    return s;
+}
+
+static void search_mb(
+    const uint8_t *ref, const uint8_t *cur, int64_t stride,
+    int64_t height, int64_t width, int64_t mb_y, int64_t mb_x,
+    int64_t range, int32_t zero_bias, int half_pel,
+    int64_t *out, int64_t *coverage)
+{
+    const uint8_t *cb = cur + mb_y * stride + mb_x;
+    const int64_t y_lo = mb_y - range > 0 ? mb_y - range : 0;
+    const int64_t y_hi = mb_y + range < height - N ? mb_y + range : height - N;
+    const int64_t x_lo = mb_x - range > 0 ? mb_x - range : 0;
+    const int64_t x_hi = mb_x + range < width - N ? mb_x + range : width - N;
+    const int64_t wy = y_hi - y_lo + 1, wx = x_hi - x_lo + 1;
+    const int64_t cover_rows = wy + N - 1;
+
+    /* The macroblock lies inside the plane, so (0, 0) is a candidate. */
+    const int64_t zero_idx = (mb_y - y_lo) * wx + (mb_x - x_lo);
+    int32_t best = -zero_bias;
+    const uint8_t *zp = ref + mb_y * stride + mb_x, *zc = cb;
+    for (int y = 0; y < N; y++, zp += stride, zc += stride)
+        best += row_sad(zp, zc);
+    int64_t best_idx = zero_idx;
+
+    int64_t rows_total = 0, idx = 0;
+    for (int64_t iy = 0; iy < wy; iy++) {
+        const uint8_t *rrow = ref + (y_lo + iy) * stride + x_lo;
+        coverage[iy] += wx;
+        for (int64_t ix = 0; ix < wx; ix++, idx++) {
+            /* (0, 0) is scanned like any candidate: its unbiased SAD
+             * exceeds the biased best it seeded, so it never wins here. */
+            const uint8_t *rp = rrow + ix, *cp = cb;
+            int32_t sad = 0;
+            int rows = 0;
+            do {
+                sad += row_sad(rp, cp);
+                rows++;
+                rp += stride;
+                cp += stride;
+            } while (rows < N && sad <= best);
+            if (sad < best || (sad == best && idx < best_idx)) {
+                best = sad;
+                best_idx = idx;
+            }
+            rows_total += rows;
+            if (iy + rows < cover_rows)
+                coverage[iy + rows] -= 1;
+        }
+    }
+    for (int64_t r = 1; r < cover_rows; r++)
+        coverage[r] += coverage[r - 1];
+    if (best_idx == zero_idx)
+        best += zero_bias;
+    const int64_t fdx = x_lo + best_idx % wx - mb_x;
+    const int64_t fdy = y_lo + best_idx / wx - mb_y;
+
+    int64_t dx = 2 * fdx, dy = 2 * fdy, evaluated = 0;
+    int32_t sad = best;
+    if (half_pel) {
+        for (int dyh = -1; dyh <= 1; dyh++) {
+            for (int dxh = -1; dxh <= 1; dxh++) {
+                if (!dxh && !dyh)
+                    continue;
+                const int64_t sx = 2 * (mb_x + fdx) + dxh;
+                const int64_t sy = 2 * (mb_y + fdy) + dyh;
+                if (sx < 0 || sy < 0 || sx + 2 * N > 2 * width
+                    || sy + 2 * N > 2 * height)
+                    continue;
+                evaluated++;
+                const uint8_t *p = ref + (mb_y + fdy - (dyh < 0)) * stride
+                                   + (mb_x + fdx - (dxh < 0));
+                const int32_t s = halfpel_sad(p, cb, stride, dxh != 0,
+                                              dyh != 0, sad);
+                if (s < sad) {
+                    sad = s;
+                    dx = 2 * fdx + dxh;
+                    dy = 2 * fdy + dyh;
                 }
             }
-            if (best_dy == 0 && best_dx == 0)
-                best += (int32_t)zero_bias;
+        }
+    }
+
+    out[F_FULL_DX] = fdx;
+    out[F_FULL_DY] = fdy;
+    out[F_FULL_SAD] = best;
+    out[F_CANDIDATES] = wy * wx;
+    out[F_READS] = rows_total * N;
+    out[F_COVER_ROWS] = cover_rows;
+    out[F_DX] = dx;
+    out[F_DY] = dy;
+    out[F_SAD] = sad;
+    out[F_EVALUATED] = evaluated;
+}
+
+/* Search every macroblock of a VOP.  ref and cur are padded planes of
+ * one shape; macroblock (mr, mc) sits at (border + 16 mr, border + 16 mc).
+ * out holds mb_rows * mb_cols records of N_FIELDS; coverage holds one
+ * zeroed row of 2 * range + N per macroblock, of which the first
+ * F_COVER_ROWS entries are written. */
+void sad_full_search(
+    const uint8_t *ref, const uint8_t *cur, int64_t stride,
+    int64_t height, int64_t width, int64_t mb_rows, int64_t mb_cols,
+    int64_t border, int64_t range, int64_t zero_bias, int64_t half_pel,
+    int64_t *out, int64_t *coverage)
+{
+    const int64_t cover_stride = 2 * range + N;
+    for (int64_t mr = 0; mr < mb_rows; mr++) {
+        for (int64_t mc = 0; mc < mb_cols; mc++) {
             const int64_t i = mr * mb_cols + mc;
-            out_dx[i] = best_dx;
-            out_dy[i] = best_dy;
-            out_sad[i] = best;
+            search_mb(ref, cur, stride, height, width,
+                      border + mr * N, border + mc * N, range,
+                      (int32_t)zero_bias, (int)half_pel, out + i * N_FIELDS,
+                      coverage + i * cover_stride);
         }
     }
 }

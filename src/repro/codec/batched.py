@@ -5,13 +5,18 @@ The reference encoder/decoder (:mod:`repro.codec.encoder`,
 Python loops -- faithful to the scalar code the paper profiles, but slow.
 This module lifts the pixel-level hot paths to whole-VOP granularity:
 
-- :func:`full_search_plane`: exhaustive zero-biased SAD motion search for
-  *every* macroblock of a VOP in one call.  Uses a small C kernel
-  (``_sad_kernel.c``, compiled on demand via :mod:`repro.native.build`,
-  same playbook as the simulator fast path) and falls back to a per-row
-  NumPy sweep when no compiler is available.
-- :func:`half_pel_refine_plane`: the eight half-pel candidates around
-  every full-pel winner, from one vectorized 18x18 patch gather per MB.
+- :func:`search_plane`: the whole motion search of a VOP in one call to
+  a small C kernel (``_sad_kernel.c``, compiled on demand via
+  :mod:`repro.native.build`, same playbook as the simulator fast path):
+  per macroblock, the zero-biased full-pel search over the clamped
+  window, its early-termination work model (the read counts and row
+  coverage the trace replays) and the half-pel refinement.  It serves
+  traced, untraced and clamped searches alike.
+- :func:`full_search_plane` / :func:`half_pel_refine_plane`: the same
+  search as two NumPy sweeps (one sliding-window pass per vertical
+  offset, then one 18x18 patch gather per MB).  With the per-MB search
+  of :mod:`repro.codec.motion`, they are the fallback when no compiler
+  is available.
 - :func:`compensate_many`: motion-compensated prediction for many blocks
   at once, grouped by half-pel phase.
 - :func:`gather_plane_blocks` / :func:`scatter_plane_blocks`: plane <->
@@ -20,19 +25,21 @@ This module lifts the pixel-level hot paths to whole-VOP granularity:
 
 Everything here is bit-exact with the per-macroblock reference functions
 in :mod:`repro.codec.motion` (enforced by
-``tests/codec/test_batched_kernels.py``); the scan order and strict-less
-tie-breaking of the scalar loops are replicated exactly.
+``tests/codec/test_batched_kernels.py`` and
+``tests/codec/test_search_kernel.py``); the scan order and tie-breaking
+of the scalar loops are replicated exactly.
 """
 
 from __future__ import annotations
 
 import ctypes
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.codec.motion import ZERO_MV_BIAS
+from repro.codec.motion import ZERO_MV_BIAS, MotionVector, SearchResult
 from repro.native.build import load_library
 from repro.video.yuv import MB_SIZE
 
@@ -52,7 +59,7 @@ def _load_sad_kernel():
     if lib is None:
         return None
     fn = lib.sad_full_search
-    fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 3
+    fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 9 + [ctypes.c_void_p] * 2
     fn.restype = None
     _sad_fn = fn
     return fn
@@ -61,6 +68,125 @@ def _load_sad_kernel():
 def sad_kernel_available() -> bool:
     """True when the compiled SAD search kernel can be used."""
     return _load_sad_kernel() is not None
+
+
+@dataclass(frozen=True)
+class PlaneSearch:
+    """The motion search of every macroblock of a VOP.
+
+    Every field but ``coverage`` is an int64 ``(mb_rows, mb_cols)`` array;
+    the field order is the kernel's record layout.  ``full_*`` describe
+    the full-pel winner (displacement in full pixels, unbiased SAD) and
+    ``candidates``/``reads`` the full-pel work, as
+    :func:`repro.codec.motion.full_search` with ``model_work=True``
+    reports them; ``reads`` counts both reference and current pixels.
+    ``dx``/``dy``/``sad``/``evaluated`` are the final result after
+    half-pel refinement (displacement in half-pel units).  ``coverage``
+    holds each MB's window-row coverage in its first ``cover_rows``
+    entries.
+    """
+
+    full_dx: np.ndarray
+    full_dy: np.ndarray
+    full_sad: np.ndarray
+    candidates: np.ndarray
+    reads: np.ndarray
+    cover_rows: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    sad: np.ndarray
+    evaluated: np.ndarray
+    coverage: np.ndarray
+
+    def search_results(self) -> list[list[tuple[SearchResult, int]]]:
+        """Per MB, ``(full-pel SearchResult, half-pel evaluations)``.
+
+        The same values the per-MB reference search hands to the trace's
+        ``me_search`` hook.
+        """
+        mb_rows, mb_cols = self.dx.shape
+        fields = (
+            self.full_dx, self.full_dy, self.full_sad, self.candidates,
+            self.reads, self.cover_rows, self.evaluated,
+        )
+        per_mb = zip(
+            *(f.ravel().tolist() for f in fields),
+            self.coverage.reshape(mb_rows * mb_cols, -1),
+        )
+        cells = [
+            (
+                SearchResult(
+                    mv=MotionVector(2 * fdx, 2 * fdy),
+                    sad=sad,
+                    candidates_evaluated=candidates,
+                    ref_reads=reads,
+                    cur_reads=reads,
+                    row_coverage=coverage[:cover_rows],
+                ),
+                evaluated,
+            )
+            for fdx, fdy, sad, candidates, reads, cover_rows, evaluated, coverage
+            in per_mb
+        ]
+        return [cells[row * mb_cols : (row + 1) * mb_cols] for row in range(mb_rows)]
+
+
+#: int64 values per macroblock record: every PlaneSearch field but coverage.
+_RECORD_FIELDS = 10
+
+
+def search_plane(
+    reference: np.ndarray,
+    current: np.ndarray,
+    border: int,
+    mb_rows: int,
+    mb_cols: int,
+    search_range: int,
+    half_pel: bool,
+) -> PlaneSearch | None:
+    """Motion search for every macroblock of a plane in one kernel call.
+
+    ``reference`` and ``current`` are full padded planes (border pixels on
+    every side); macroblock ``(mr, mc)`` sits at ``(border + 16*mr,
+    border + 16*mc)``.  Windows clamp to the plane, so any
+    ``search_range`` works.  Per MB the result equals
+    :func:`repro.codec.motion.full_search` (``model_work=True``)
+    followed, when ``half_pel`` is set, by
+    :func:`repro.codec.motion.half_pel_refine`.  Returns None when the
+    kernel is unavailable.
+    """
+    kernel = _load_sad_kernel()
+    if kernel is None:
+        return None
+    if reference.shape != current.shape or reference.ndim != 2:
+        raise ValueError("reference and current must be planes of one shape")
+    height, width = reference.shape
+    if (
+        min(border, mb_rows, mb_cols, search_range) < 0
+        or border + mb_rows * MB_SIZE > height
+        or border + mb_cols * MB_SIZE > width
+    ):
+        raise ValueError("macroblock grid or search range does not fit the plane")
+    reference = np.ascontiguousarray(reference, dtype=np.uint8)
+    current = np.ascontiguousarray(current, dtype=np.uint8)
+    records = np.empty((mb_rows, mb_cols, _RECORD_FIELDS), dtype=np.int64)
+    coverage = np.zeros((mb_rows, mb_cols, 2 * search_range + MB_SIZE), dtype=np.int64)
+    kernel(
+        reference.ctypes.data,
+        current.ctypes.data,
+        reference.strides[0],
+        height,
+        width,
+        mb_rows,
+        mb_cols,
+        border,
+        search_range,
+        ZERO_MV_BIAS,
+        int(half_pel),
+        records.ctypes.data,
+        coverage.ctypes.data,
+    )
+    return PlaneSearch(*np.moveaxis(records, -1, 0), coverage=coverage)
 
 
 def full_search_plane(
@@ -73,12 +199,11 @@ def full_search_plane(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full-pel exhaustive SAD search for every macroblock of a plane.
 
-    ``reference`` and ``current`` are full padded planes (border pixels on
-    every side); macroblock ``(mr, mc)`` sits at ``(border + 16*mr,
-    border + 16*mc)``.  Requires ``search_range <= border`` so that no
-    window is ever clamped -- then the result is identical to
-    :func:`repro.codec.motion.full_search` per MB (same row-major argmin
-    tie-break, same zero-MV bias).
+    The planes are laid out as for :func:`search_plane`.  Requires
+    ``search_range <= border`` so that no window is ever clamped -- then
+    the result is identical to :func:`repro.codec.motion.full_search` per
+    MB (same row-major argmin tie-break, same zero-MV bias).  Runs the
+    zero-seeded kernel when it is available and a NumPy sweep otherwise.
 
     Returns ``(dx, dy, sad)`` int32 arrays of shape ``(mb_rows,
     mb_cols)`` with displacements in **full-pel** units.
@@ -90,29 +215,16 @@ def full_search_plane(
         )
     if reference.shape != current.shape:
         raise ValueError("reference and current plane shapes differ")
-    reference = np.ascontiguousarray(reference, dtype=np.uint8)
-    current = np.ascontiguousarray(current, dtype=np.uint8)
-    kernel = _load_sad_kernel()
-    if kernel is not None:
-        out_dx = np.empty((mb_rows, mb_cols), dtype=np.int32)
-        out_dy = np.empty((mb_rows, mb_cols), dtype=np.int32)
-        out_sad = np.empty((mb_rows, mb_cols), dtype=np.int32)
-        kernel(
-            reference.ctypes.data,
-            current.ctypes.data,
-            reference.strides[0],
-            mb_rows,
-            mb_cols,
-            border,
-            search_range,
-            ZERO_MV_BIAS,
-            out_dx.ctypes.data,
-            out_dy.ctypes.data,
-            out_sad.ctypes.data,
-        )
-        return out_dx, out_dy, out_sad
+    search = search_plane(
+        reference, current, border, mb_rows, mb_cols, search_range, half_pel=False
+    )
+    if search is not None:
+        full = (search.full_dx, search.full_dy, search.full_sad)
+        return tuple(a.astype(np.int32) for a in full)
     return _full_search_plane_numpy(
-        reference, current, border, mb_rows, mb_cols, search_range
+        np.ascontiguousarray(reference, dtype=np.uint8),
+        np.ascontiguousarray(current, dtype=np.uint8),
+        border, mb_rows, mb_cols, search_range,
     )
 
 

@@ -30,6 +30,7 @@ from repro.codec.batched import (
     intra_decisions,
     predict_many,
     scatter_plane_blocks,
+    search_plane,
 )
 from repro.codec.bitstream import (
     MOTION_MARKER_STARTCODE,
@@ -520,18 +521,31 @@ class VopEncoder:
         """Whole-VOP motion search against one reference store.
 
         Returns ``(mv_dx, mv_dy, sads, candidates, hook_data)`` with the
-        final (half-pel) displacements.  With a trace recorder attached --
-        or when the search range exceeds the plane border, so windows
-        clamp -- the per-macroblock reference search runs instead of the
-        plane kernels: its early-termination work model (read counts, row
-        coverage) must survive batching, so those numbers are computed by
-        the original code and stashed in ``hook_data`` for the serializer
-        to emit in reference order.
+        final (half-pel) displacements.  One call to the C search kernel
+        serves traced, untraced and clamped (``search_range > BORDER``)
+        searches; with a trace recorder attached, its per-MB work model
+        (read counts, row coverage) is stashed in ``hook_data`` for the
+        serializer to emit in reference order.  Without a compiler, a
+        traced or clamped search runs the per-macroblock reference search
+        and any other runs the NumPy plane sweeps.
         """
         config = self.config
         rec = self._rec
         mb_rows, mb_cols = config.mb_rows, config.mb_cols
         search_range = config.search_range
+        search = search_plane(
+            ref_store.y, self._cur.y, BORDER, mb_rows, mb_cols, search_range,
+            config.use_half_pel,
+        )
+        if search is not None:
+            hook_data = search.search_results() if rec is not None else None
+            return (
+                search.dx,
+                search.dy,
+                search.sad,
+                search.candidates + search.evaluated,
+                hook_data,
+            )
         if rec is not None or search_range > BORDER:
             mv_dx = np.zeros((mb_rows, mb_cols), dtype=np.int64)
             mv_dy = np.zeros((mb_rows, mb_cols), dtype=np.int64)

@@ -296,8 +296,9 @@ def engine_class() -> type[MemoryHierarchy]:
         raise ValueError(f"REPRO_ENGINE must be one of {sorted(ENGINES)}, got {name!r}")
     if name == "fast" and "REPRO_ENGINE" not in os.environ and not kernel_available():
         warnings.warn(
-            "no C compiler found; falling back to the reference simulation "
-            "engine (set REPRO_ENGINE=reference to silence)",
+            "C kernel unavailable (no compiler, or the kernel cache is not "
+            "writable); falling back to the reference simulation engine "
+            "(set REPRO_ENGINE=reference to silence)",
             RuntimeWarning,
             stacklevel=2,
         )

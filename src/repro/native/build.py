@@ -2,19 +2,23 @@
 
 Both performance-critical inner loops of the reproduction -- the memory
 hierarchy simulator (:mod:`repro.memsim.fastpath`) and the codec's
-full-search SAD motion estimation (:mod:`repro.codec.batched`) -- follow
-the same playbook: a pure-Python/NumPy reference implementation is the
-oracle, and a tiny single-file C kernel is compiled at runtime with the
-system compiler for the hot path.  This module holds the shared
+motion search (:mod:`repro.codec.batched`: full-pel search, its
+early-termination work model and half-pel refinement, traced or not) --
+follow the same playbook: a pure-Python/NumPy reference implementation
+is the oracle, and a tiny single-file C kernel is compiled at runtime
+with the system compiler for the hot path.  This module holds the shared
 machinery: compiler discovery, per-source-digest caching, and atomic
 publication so concurrent workers never load a half-written library.
 
-When no C compiler is available every caller falls back to its reference
-implementation; nothing in the repository *requires* a compiler.
+When no C compiler is available, or the cache directory cannot be
+created or written, :func:`load_library` returns None and every caller
+falls back to its reference implementation; nothing in the repository
+*requires* a compiler.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -51,22 +55,23 @@ def _build(source: Path, out: Path) -> bool:
     compiler = find_compiler()
     if compiler is None:
         return False
-    out.parent.mkdir(parents=True, exist_ok=True)
     # Build to a private name, then publish atomically so concurrent
     # replay workers never load a half-written library.
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     cmd = [compiler, "-O2", "-shared", "-fPIC", str(source), "-o", str(tmp)]
     try:
+        out.parent.mkdir(parents=True, exist_ok=True)
         subprocess.run(cmd, check=True, capture_output=True, text=True, timeout=120)
         os.replace(tmp, out)
         return True
     except (subprocess.SubprocessError, OSError):
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         return False
 
 
 def load_library(source: Path, prefix: str) -> ctypes.CDLL | None:
-    """Compile (if needed) and load one kernel source; None on failure.
+    """Compile (if needed) and load one kernel source; None on any failure.
 
     Compiled libraries are cached by source digest, so the build cost is
     paid once per kernel revision per machine.
@@ -83,10 +88,10 @@ def load_library(source: Path, prefix: str) -> ctypes.CDLL | None:
     if key in _loaded:
         return _loaded[key]
     lib: ctypes.CDLL | None = None
-    if so_path.exists() or _build(source, so_path):
-        try:
+    try:
+        if so_path.exists() or _build(source, so_path):
             lib = ctypes.CDLL(key)
-        except OSError:
-            lib = None
+    except OSError:
+        lib = None
     _loaded[key] = lib
     return lib

@@ -21,7 +21,8 @@ Controller ladder, weakest first:
 - ``fixed``      -- pick the best rung for the *provisioned* rate at
   session start, never switch (the baseline the study beats);
 - ``buffer``     -- step down when the client buffer runs low, up when
-  it is comfortably full;
+  it is comfortably full and the safety-margined throughput estimate
+  carries the next rung;
 - ``throughput`` -- sliding-window harmonic-mean predictor over observed
   download rates, pick the best rung under a safety factor;
 - ``hybrid``     -- throughput choice, overridden by buffer panic/low
@@ -272,10 +273,15 @@ def _choose_rung(
             elif candidate > current and buffer_vms < policy.high_buffer_vms:
                 candidate = current  # up-switches need a healthy buffer
     else:
-        # Pure buffer policy: step relative to the current rung.
+        # Pure buffer policy: step relative to the current rung.  The
+        # buffer decides when to move; an up-step also needs the
+        # safety-margined throughput estimate to carry the next rung, or
+        # a full buffer would climb onto a rung the link cannot sustain.
         if buffer_vms < policy.low_buffer_vms:
             candidate = max(current - 1, 0)
-        elif buffer_vms > policy.high_buffer_vms:
+        elif buffer_vms > policy.high_buffer_vms and current < (
+            select_initial_rung(tracks, predicted_kbps, policy.safety)
+        ):
             candidate = min(current + 1, top)
         else:
             candidate = current

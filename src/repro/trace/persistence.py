@@ -23,11 +23,12 @@ boundaries and a phase-name table -- compact and portable.
 :class:`TraceCacheStore` persists recorded runs across processes.  Entries
 are keyed by a content fingerprint (see :func:`trace_fingerprint`) that
 hashes the workload definition, the direction, the sampling policy, the
-trace format version, and a digest of every source file that can change
-the emitted stream (codec, video synthesis, trace instrumentation, and
-the study driver) -- so editing any instrumented kernel automatically
-invalidates stale traces.  Point ``REPRO_TRACE_CACHE`` at a directory to
-enable it (``repro --trace-cache`` from the CLI).
+trace format version, the resolved codec knobs, and a digest of every
+Python and C source file that can change the emitted stream (codec,
+video synthesis, trace instrumentation, and the study driver) -- so
+editing any instrumented kernel automatically invalidates stale traces.
+Point ``REPRO_TRACE_CACHE`` at a directory to enable it (``repro
+--trace-cache`` from the CLI).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
+from repro.codec.engine import codec_knobs
 from repro.core.runner.chaos import (
     POINT_TRACE_LOAD,
     POINT_TRACE_STORE,
@@ -196,7 +198,11 @@ def _source_digest() -> str:
         digest = hashlib.sha256()
         for entry in _FINGERPRINTED_SOURCES:
             path = package_root / entry
-            files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+            files = (
+                sorted(f for pattern in ("*.py", "*.c") for f in path.rglob(pattern))
+                if path.is_dir()
+                else [path]
+            )
             for source in files:
                 digest.update(source.name.encode())
                 digest.update(source.read_bytes())
@@ -210,11 +216,14 @@ def trace_fingerprint(workload, direction: str, sampling, input_digest: str = ""
     ``workload`` is any dataclass-like object exposing the grid-cell
     fields; ``sampling`` the BandSampling policy or None; ``input_digest``
     an extra discriminator for runs whose input is not derived from the
-    workload alone (decode runs keyed on their bitstreams).
+    workload alone (decode runs keyed on their bitstreams).  The resolved
+    codec knobs are part of the key: the fixed-point IDCT changes the
+    batched engine's reconstructions, and with them the traced stream.
     """
     descriptor = {
         "format": FORMAT_VERSION,
         "sources": _source_digest(),
+        "codec": list(codec_knobs()),
         "direction": direction,
         "workload": {
             field: getattr(workload, field)

@@ -17,7 +17,7 @@ the study rests on:
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.service.abr import (
@@ -86,6 +86,13 @@ def test_determinism(rates, trace, policy_name, n_segments, loss):
     st.floats(min_value=0.0, max_value=40.0,
               allow_nan=False, allow_infinity=False),
     policies,
+)
+# The slower channel starts a rung lower and fills its buffer faster.
+@example(
+    rates=(13.0, 23.282, 31.246, 56.289),
+    capacity=26.298567242863523,
+    extra=2.36292666034502,
+    policy_name="buffer",
 )
 def test_monotonicity_in_steady_state(rates, capacity, extra, policy_name):
     """More bandwidth never selects a lower rendition: both the initial

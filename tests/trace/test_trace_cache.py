@@ -54,6 +54,14 @@ class TestFingerprint:
         )
         assert trace_fingerprint(workload, "encode", None, "deadbeef") != base
 
+    def test_sensitive_to_codec_knobs(self, monkeypatch):
+        from repro.codec.engine import IDCT_ENV
+
+        monkeypatch.setenv(IDCT_ENV, "float")
+        base = trace_fingerprint(make_workload(), "encode", None)
+        monkeypatch.setenv(IDCT_ENV, "fixed")
+        assert trace_fingerprint(make_workload(), "encode", None) != base
+
     def test_workload_name_is_not_significant(self):
         """Cells are identified by content, not by display name."""
         assert trace_fingerprint(make_workload(name="a"), "encode", None) == \
@@ -104,3 +112,34 @@ class TestTraceCacheStore:
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
         store = TraceCacheStore.from_env()
         assert store is not None and store.root == tmp_path
+
+
+def test_cache_shared_across_idct_settings_serves_each_its_own_trace(
+    tmp_path, monkeypatch
+):
+    """A fixed-IDCT run after a float run on one cache must miss and
+    record its own trace: the batched engine's fixed IDCT changes the
+    reconstructions, and with them the traced counters."""
+    import dataclasses
+
+    from repro.codec.engine import ENGINE_BATCHED, ENGINE_ENV, IDCT_ENV
+    from repro.core.study import characterize_encode
+
+    def counters(result):
+        return {label: dataclasses.asdict(total)
+                for label, total in result.raw_counters.items()}
+
+    workload = make_workload(width=176, height=144, n_frames=6)
+    monkeypatch.setenv(ENGINE_ENV, ENGINE_BATCHED)
+    monkeypatch.setenv(IDCT_ENV, "fixed")
+    monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+    fixed = counters(characterize_encode(workload))
+
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+    monkeypatch.setenv(IDCT_ENV, "float")
+    floating = counters(characterize_encode(workload))
+    assert len(list(tmp_path.iterdir())) == 1
+    assert floating != fixed
+    monkeypatch.setenv(IDCT_ENV, "fixed")
+    assert counters(characterize_encode(workload)) == fixed
+    assert len(list(tmp_path.iterdir())) == 2
