@@ -38,6 +38,7 @@ from repro.codec.types import CodecConfig
 from repro.core.machines import STUDY_MACHINES, MachineSpec
 from repro.core.metrics import MetricReport, compute_report
 from repro.core.runner.supervisor import RetryPolicy, SupervisedPool, WorkerBudget
+from repro.memsim.events import BatchTable
 from repro.trace.persistence import (
     RecordedTrace,
     TraceCacheStore,
@@ -247,11 +248,12 @@ def build_workload_inputs(workload: Workload) -> list[VoInput]:
 def _finish_recording(recorder: TraceRecorder, capture: TraceCapture, encoded) -> RecordedTrace:
     """Freeze one codec run into a replayable recording.
 
-    Batches are run-collapsed once here so every machine replay (and every
-    later cache hit) skips that work.
+    Batches are run-collapsed once here, and their replay table built
+    once, so every machine replay (and every later cache hit) skips that
+    work.
     """
     return RecordedTrace(
-        batches=[batch.collapsed() for batch in capture.batches],
+        batches=BatchTable(batch.collapsed() for batch in capture.batches),
         scale=recorder.scale_factor(),
         footprint_bytes=recorder.space.footprint_bytes,
         encoded=encoded,
@@ -298,9 +300,9 @@ def _record_decode(workload, encoded, sampling) -> RecordedTrace:
     return _finish_recording(recorder, capture, [])
 
 
-# Replay workers receive the batch list through the pool initializer (one
+# Replay workers receive the batch table through the pool initializer (one
 # pickle per worker, not per task) and machines as the per-task argument.
-_worker_batches: list | None = None
+_worker_batches: BatchTable | None = None
 
 
 def _init_replay_worker(batches) -> None:
@@ -310,8 +312,7 @@ def _init_replay_worker(batches) -> None:
 
 def _replay_one_machine(machine: MachineSpec):
     hierarchy = machine.build_hierarchy()
-    for batch in _worker_batches:
-        hierarchy.process(batch)
+    hierarchy.replay(_worker_batches)
     return hierarchy.total, hierarchy.phases
 
 
@@ -322,6 +323,8 @@ def replay_into_machines(
 ):
     """Replay one recorded batch stream into a fresh hierarchy per machine.
 
+    ``batches`` is the recording's :class:`~repro.memsim.events.BatchTable`
+    (a plain batch list also works, at the cost of a table per machine).
     Returns ``{machine.label: (total_counters, phase_counters)}`` in the
     order of ``machines``.  With ``jobs > 1`` the per-machine replays run
     under a :class:`~repro.core.runner.supervisor.SupervisedPool` --

@@ -1,6 +1,6 @@
 /* Hot loop of the fast simulation engine.
  *
- * This is an exact transcription of MemoryHierarchy._run_demand
+ * This is an exact transcription of MemoryHierarchy._step
  * (repro/memsim/hierarchy.py): a two-level inclusive write-back hierarchy
  * with true-LRU sets, physically-scattered L2 indexing, inclusion
  * back-invalidation, and a fully-associative LRU data TLB fed only page
@@ -8,6 +8,16 @@
  * matrices, timestamp matrices, dirty bitmaps) and hands raw pointers to
  * this kernel, so cache contents stay inspectable from Python between
  * batches and counters stay bit-identical to the list-based reference.
+ *
+ * Two entry points share one per-batch body (run_batch):
+ *  - process_batch runs one batch.  Live sinks call it once per emitted
+ *    batch; they have no table to hand over, and building one per batch
+ *    would cost more than the call it saves.
+ *  - replay_batches runs a whole recorded trace in one call.  Its batch
+ *    table (repro.memsim.events.BatchTable, built once per recording)
+ *    holds each batch's lines and counts addresses, size and kind; it
+ *    returns per-batch accesses, misses, writebacks and TLB-miss deltas,
+ *    which the Python side folds into its counters with NumPy.
  *
  * LRU equivalence: the reference keeps each set as a Python list ordered
  * cold-to-hot (append on touch, pop(0) to evict).  Here every touch writes
@@ -34,7 +44,7 @@
  *  8 tlb_shift 9 tlb_entries
  * state layout (int64, carried across calls):
  *  0 time  1 tlb_last_page  2 tlb_hits  3 tlb_misses
- * out layout (int64, per call):
+ * out layout (int64, per process_batch call):
  *  0 l1_misses  1 l2_misses  2 l1_writebacks  3 l2_writebacks
  * kind: 0 read, 1 write, 2 prefetch
  */
@@ -71,8 +81,10 @@ static void tlb_access(int64_t page, int64_t *tlb_tags, int64_t *tlb_stamp,
     tlb_stamp[slot] = state[0]++;
 }
 
-int64_t process_batch(const int64_t *lines, int64_t n, int64_t kind,
-                      int64_t *ctx)
+/* The per-batch body: runs ``n`` line events of one kind and writes the
+ * batch's miss and writeback counts to out[0..3]. */
+static void run_batch(const int64_t *lines, int64_t n, int64_t kind,
+                      int64_t *ctx, int64_t *out)
 {
     int64_t *l1_tags = (int64_t *)ctx[0];
     int64_t *l1_stamp = (int64_t *)ctx[1];
@@ -84,7 +96,6 @@ int64_t process_batch(const int64_t *lines, int64_t n, int64_t kind,
     int64_t *tlb_stamp = (int64_t *)ctx[7];
     const int64_t *params = (const int64_t *)ctx[8];
     int64_t *state = (int64_t *)ctx[9];
-    int64_t *out = (int64_t *)ctx[10];
     const int64_t l1_mask = params[0], l1_ways = params[1];
     const int64_t l2_mask = params[2], l2_ways = params[3];
     const int64_t l2_shift = params[4], l2_cover = params[5];
@@ -244,5 +255,38 @@ int64_t process_batch(const int64_t *lines, int64_t n, int64_t kind,
     out[1] = l2m;
     out[2] = l1wb;
     out[3] = l2wb;
+}
+
+/* One batch, counts to ctx's out array (the live-sink entry point). */
+int64_t process_batch(const int64_t *lines, int64_t n, int64_t kind,
+                      int64_t *ctx)
+{
+    run_batch(lines, n, kind, ctx, (int64_t *)ctx[10]);
+    return 0;
+}
+
+/* A whole recorded trace in one call.  table holds one row per batch,
+ * in trace order; results gets one row per batch:
+ *  table   (int64): 0 lines address  1 counts address  2 events  3 kind
+ *  results (int64): 0 accesses  1 l1_misses  2 l2_misses
+ *                   3 l1_writebacks  4 l2_writebacks  5 tlb_misses
+ * tlb_misses is the batch's own delta of the carried TLB miss count. */
+int64_t replay_batches(const int64_t *table, int64_t n_batches, int64_t *ctx,
+                       int64_t *results)
+{
+    const int64_t *state = (const int64_t *)ctx[9];
+    int64_t b, i;
+    for (b = 0; b < n_batches; b++) {
+        const int64_t *row = table + 4 * b;
+        const int64_t *counts = (const int64_t *)row[1];
+        int64_t *res = results + 6 * b;
+        const int64_t tlb_before = state[3];
+        int64_t accesses = 0;
+        for (i = 0; i < row[2]; i++)
+            accesses += counts[i];
+        run_batch((const int64_t *)row[0], row[2], row[3], ctx, res + 1);
+        res[0] = accesses;
+        res[5] = state[3] - tlb_before;
+    }
     return 0;
 }

@@ -21,6 +21,7 @@ compute cycles).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,6 +139,53 @@ class AccessBatch:
             f"AccessBatch({_KIND_NAMES[self.kind]}, events={self.n_events}, "
             f"accesses={self.n_accesses}, phase={self.phase!r})"
         )
+
+
+class BatchTable(Sequence[AccessBatch]):
+    """A recorded trace: its batches plus the table a whole-trace replay reads.
+
+    Row ``i`` of ``rows`` holds batch ``i``'s lines address, counts
+    address, event count and kind -- what one C call needs to run the
+    whole trace (:meth:`FastMemoryHierarchy.replay`).  ``alu_ops`` and
+    ``phase_ids`` carry the rest of each batch; ``phase_names`` lists the
+    phases in order of first appearance and ``phase_ids`` indexes it.
+
+    Reading an array's address costs one to two microseconds from Python,
+    so build a table once per recording and replay it into every machine.
+    The table holds its batches, which keeps the addresses valid; treat
+    them as frozen.  It pickles as its batch list, so each process that
+    unpickles one reads the addresses of its own copies.
+    """
+
+    __slots__ = ("_batches", "rows", "alu_ops", "phase_ids", "phase_names")
+
+    def __init__(self, batches: Iterable[AccessBatch] = ()) -> None:
+        self._batches = list(batches)
+        phase_index: dict[str, int] = {}
+        rows = []
+        alu_ops = []
+        phase_ids = []
+        for batch in self._batches:
+            rows.append((batch.lines.ctypes.data, batch.counts.ctypes.data,
+                         batch.lines.size, batch.kind))
+            alu_ops.append(batch.alu_ops)
+            phase_ids.append(phase_index.setdefault(batch.phase, len(phase_index)))
+        self.rows = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+        self.alu_ops = np.array(alu_ops, dtype=np.int64)
+        self.phase_ids = np.array(phase_ids, dtype=np.int64)
+        self.phase_names = list(phase_index)
+
+    def __len__(self) -> int:
+        return len(self._batches)
+
+    def __getitem__(self, index):
+        return self._batches[index]
+
+    def __iter__(self) -> Iterator[AccessBatch]:
+        return iter(self._batches)
+
+    def __reduce__(self):
+        return BatchTable, (self._batches,)
 
 
 @dataclass

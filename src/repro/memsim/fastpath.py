@@ -9,10 +9,9 @@ NumPy way matrices instead of per-set Python lists:
   counter -- true LRU falls out as the argmin of a set's stamps;
 - ``dirty[n_sets, ways]``: write-back state per way.
 
-Batches are collapsed by the :meth:`AccessBatch.collapsed` front-end and
-then processed whole-array by a small C kernel (``_fastpath_kernel.c``)
-that is an operation-for-operation transcription of
-:meth:`MemoryHierarchy._run_demand` -- eviction by LRU stamp, dirty
+A small C kernel (``_fastpath_kernel.c``) moves that state through the
+line events.  It is an operation-for-operation transcription of
+:meth:`MemoryHierarchy._step` -- eviction by LRU stamp, dirty
 writeback into L2, physically-scattered L2 indexing, inclusion
 back-invalidation of covered L1 granules, and the page-transition-deduped
 fully-associative TLB -- so every counter (hits, misses, writebacks,
@@ -20,6 +19,23 @@ prefetch outcomes, TLB misses) and the derived timing are **bit-identical**
 to the reference engine.  The kernel is compiled once per source digest
 with the system C compiler and cached on disk; when no compiler is
 available :func:`engine_class` falls back to the reference engine.
+
+There are two ways in:
+
+- :meth:`~MemoryHierarchy.process` takes one batch, for live sinks.  It
+  collapses the batch (:meth:`AccessBatch.collapsed`), calls the
+  kernel's ``process_batch`` and folds the result with the base class's
+  scalar fold, which both engines share.  A live sink has no table to
+  hand over, and routing one batch through the whole-trace path costs
+  more than it saves, so this path stays per batch.
+- :meth:`FastMemoryHierarchy.replay` takes a whole recorded trace as a
+  :class:`~repro.memsim.events.BatchTable`: one ``replay_batches`` call
+  runs every batch and returns each batch's accesses, misses,
+  writebacks and TLB-miss delta, and a NumPy fold adds them to the
+  totals and phases.  The fold applies the :class:`TimingSpec` formulas
+  to arrays and adds the float clocks in trace order, so it matches a
+  ``process`` loop to the last bit; the study replays every machine
+  this way.
 
 Why a compiled loop rather than pure-NumPy windowing?  Measured on real
 codec traces, run-length coalescing absorbs nearly all spatial locality
@@ -32,7 +48,8 @@ faster.  DESIGN.md's "Performance architecture" section records the
 numbers.
 
 ``tests/memsim/test_fastpath_differential.py`` enforces the equivalence on
-randomized read/write/prefetch streams; the list-based engine remains the
+randomized read/write/prefetch streams, for ``process`` and ``replay``;
+the list-based engine and its per-batch ``replay`` loop remain the
 oracle.  Select engines with the ``REPRO_ENGINE`` environment variable
 (``fast``, the default, or ``reference``).
 """
@@ -48,7 +65,13 @@ import numpy as np
 
 from repro.memsim.cache import CacheGeometry
 from repro.memsim.dram import BusSpec, DramSpec
-from repro.memsim.events import KIND_PREFETCH, KIND_WRITE, AccessBatch
+from repro.memsim.events import (
+    KIND_PREFETCH,
+    KIND_READ,
+    KIND_WRITE,
+    AccessBatch,
+    BatchTable,
+)
 from repro.memsim.hierarchy import HierarchyCounters, MemoryHierarchy
 from repro.memsim.timing import TimingSpec
 from repro.native.build import CACHE_ENV as _CACHE_ENV  # noqa: F401  (re-export)
@@ -56,36 +79,35 @@ from repro.native.build import load_library
 
 _KERNEL_SOURCE = Path(__file__).with_name("_fastpath_kernel.c")
 
-_kernel_fn = None
+_kernel_lib = None
 _kernel_tried = False
 
 
 def _load_kernel():
-    """The compiled ``process_batch`` entry point, or ``None``.
+    """The compiled kernel library, or ``None``.
 
-    Compilation/caching is shared machinery (:mod:`repro.native.build`):
-    libraries are cached by source digest, so the build cost is paid once
-    per kernel revision per machine.
+    It exports ``process_batch`` (one batch) and ``replay_batches`` (a
+    whole :class:`~repro.memsim.events.BatchTable`).  Compilation/caching
+    is shared machinery (:mod:`repro.native.build`): libraries are cached
+    by source digest, so the build cost is paid once per kernel revision
+    per machine.
     """
-    global _kernel_fn, _kernel_tried
+    global _kernel_lib, _kernel_tried
     if _kernel_tried:
-        return _kernel_fn
+        return _kernel_lib
     _kernel_tried = True
     lib = load_library(_KERNEL_SOURCE, "fastpath")
     if lib is None:
         return None
-    fn = lib.process_batch
     # Pointers cross as raw addresses; all per-hierarchy array bases sit in
     # one ctx table so a call converts only four arguments.
-    fn.argtypes = [
-        ctypes.c_void_p,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_void_p,
-    ]
-    fn.restype = ctypes.c_int64
-    _kernel_fn = fn
-    return fn
+    pointer, count = ctypes.c_void_p, ctypes.c_int64
+    lib.process_batch.argtypes = [pointer, count, count, pointer]
+    lib.replay_batches.argtypes = [pointer, count, pointer, pointer]
+    for fn in (lib.process_batch, lib.replay_batches):
+        fn.restype = ctypes.c_int64
+    _kernel_lib = lib
+    return lib
 
 
 def kernel_available() -> bool:
@@ -157,14 +179,15 @@ class FastMemoryHierarchy(MemoryHierarchy):
         tlb_entries: int = 64,
     ) -> None:
         super().__init__(l1, l2, timing, dram, bus, page_scatter, tlb_entries)
-        kernel = _load_kernel()
-        if kernel is None:
+        lib = _load_kernel()
+        if lib is None:
             raise RuntimeError(
                 "the fast engine needs a C compiler (cc/gcc/clang) to build "
                 "its kernel; set REPRO_ENGINE=reference to use the pure-"
                 "Python engine"
             )
-        self._kernel = kernel
+        self._kernel = lib.process_batch
+        self._replay_kernel = lib.replay_batches
         # The list-based sets of the parent stay empty; all state lives in
         # the arrays below, which the kernel mutates in place.
         self._l1_tags = np.full((l1.n_sets, l1.ways), -1, dtype=np.int64)
@@ -214,34 +237,21 @@ class FastMemoryHierarchy(MemoryHierarchy):
 
     # -- public API ---------------------------------------------------------
 
-    def process(self, batch: AccessBatch) -> None:
-        """Run one batch through both cache levels and the timing model."""
-        batch = batch.collapsed()
-        phase = self.phases.setdefault(batch.phase, HierarchyCounters())
-        if batch.kind == KIND_PREFETCH:
-            self._process_prefetch(batch, phase)
-            return
-        is_write = batch.kind == KIND_WRITE
-        n_accesses = int(batch.counts.sum())
-        tlb_before = int(self._state[3])
-        l1_misses, l2_misses, l1_wb, l2_wb = self._run_kernel(
-            batch.lines, batch.kind
+    def replay(self, batches) -> None:
+        """Run a whole recorded trace in one kernel call, then fold it.
+
+        The kernel returns each batch's accesses, misses, writebacks and
+        TLB-miss delta; the fold adds them to ``total`` and each phase as
+        :meth:`process` would, batch after batch.  ``batches`` is best a
+        :class:`~repro.memsim.events.BatchTable` built once per recording;
+        any other sequence of batches gets a table built here.
+        """
+        table = batches if isinstance(batches, BatchTable) else BatchTable(batches)
+        results = np.empty((len(table), 6), dtype=np.int64)
+        self._replay_kernel(
+            table.rows.ctypes.data, len(table), self._ctx_ptr, results.ctypes.data
         )
-        tlb_misses = int(self._state[3]) - tlb_before
-        for scope in (self.total, phase):
-            if is_write:
-                scope.graduated_stores += n_accesses
-            else:
-                scope.graduated_loads += n_accesses
-            scope.l1_misses += l1_misses
-            scope.l1_hits += n_accesses - l1_misses
-            scope.l2_misses += l2_misses
-            scope.l2_hits += l1_misses - l2_misses
-            scope.l1_writebacks += l1_wb
-            scope.l2_writebacks += l2_wb
-            scope.tlb_misses += tlb_misses
-            scope.alu_ops += batch.alu_ops
-        self._charge_time(batch, n_accesses, is_write, l1_misses, l2_misses, phase)
+        self._fold(table, results)
 
     def l1_contents(self) -> set[int]:
         tags = self._l1_tags
@@ -253,28 +263,67 @@ class FastMemoryHierarchy(MemoryHierarchy):
 
     # -- internals ----------------------------------------------------------
 
-    def _run_kernel(self, lines: np.ndarray, kind: int):
+    def _step(self, batch: AccessBatch):
         """One kernel call over a whole (collapsed) event array."""
-        self._kernel(lines.ctypes.data, lines.size, kind, self._ctx_ptr)
-        out = self._out
-        return int(out[0]), int(out[1]), int(out[2]), int(out[3])
+        lines = batch.collapsed().lines
+        self._kernel(lines.ctypes.data, lines.size, batch.kind, self._ctx_ptr)
+        return self._out.tolist()
 
-    def _process_prefetch(self, batch: AccessBatch, phase: HierarchyCounters) -> None:
-        """Software prefetches: resident lines are skipped untouched (no LRU
-        promotion, no TLB translation); missing lines run the shared fill
-        path, matching the reference prefetch semantics."""
-        issued = int(batch.counts.sum())
-        pf_l1_misses, l2m, l1_wb, l2_wb = self._run_kernel(
-            batch.lines, KIND_PREFETCH
+    def _fold(self, table: BatchTable, results: np.ndarray) -> None:
+        """Add a replay's per-batch results to ``total`` and the phases.
+
+        Integer counters are order-free sums.  The clocks are not: each
+        field adds the batches' float deltas one at a time, in trace
+        order, from its current value, exactly as :meth:`process` does
+        (a pairwise ``np.sum`` would move the last bits).
+        """
+        kinds = table.rows[:, 3]
+        accesses, l1_misses, l2_misses, l1_wb, l2_wb, tlb_misses = results.T
+        is_read = kinds == KIND_READ
+        is_write = kinds == KIND_WRITE
+        demand = kinds != KIND_PREFETCH
+        prefetch = ~demand
+        by_field = {
+            "graduated_loads": accesses * is_read,
+            "graduated_stores": accesses * is_write,
+            "l1_hits": (accesses - l1_misses) * demand,
+            "l1_misses": l1_misses * demand,
+            "l1_writebacks": l1_wb,
+            "l2_hits": (l1_misses - l2_misses) * demand,
+            "l2_misses": l2_misses * demand,
+            "l2_writebacks": l2_wb,
+            "prefetch_issued": accesses * prefetch,
+            "prefetch_l1_hits": (accesses - l1_misses) * prefetch,
+            "prefetch_l1_misses": l1_misses * prefetch,
+            "prefetch_l2_misses": l2_misses * prefetch,
+            # Prefetch fills touch the TLB, but process() never counts them.
+            "tlb_misses": tlb_misses * demand,
+            "alu_ops": table.alu_ops,
+        }
+        names = list(by_field)
+        deltas = np.stack(list(by_field.values()), axis=1)
+        timing = self.timing
+        clocks = np.stack(
+            [
+                timing.compute_cycles(by_field["graduated_loads"],
+                                      by_field["graduated_stores"], table.alu_ops),
+                timing.l1_miss_stall(l1_misses - l2_misses),
+                timing.dram_stall(l2_misses, self._dram_latency_cycles),
+            ],
+            axis=1,
         )
-        for scope in (self.total, phase):
-            scope.l1_writebacks += l1_wb
-            scope.l2_writebacks += l2_wb
-            scope.prefetch_l2_misses += l2m
-            scope.prefetch_issued += issued
-            scope.prefetch_l1_misses += pf_l1_misses
-            scope.prefetch_l1_hits += issued - pf_l1_misses
-            scope.alu_ops += batch.alu_ops
+        # Phases appear in trace order, as process() would create them.
+        phases = [self.phases.setdefault(name, HierarchyCounters())
+                  for name in table.phase_names]
+        scopes = [(self.total, np.ones(len(table), dtype=bool))]
+        scopes += [(phase, table.phase_ids == index) for index, phase in enumerate(phases)]
+        for scope, rows in scopes:
+            for name, value in zip(names, deltas[rows].sum(axis=0).tolist()):
+                setattr(scope, name, getattr(scope, name) + value)
+            clock = scope.clock
+            start = [[clock.compute_cycles, clock.l1_stall_cycles, clock.dram_stall_cycles]]
+            end = np.cumsum(np.concatenate([start, clocks[rows & demand]]), axis=0)[-1]
+            clock.compute_cycles, clock.l1_stall_cycles, clock.dram_stall_cycles = end.tolist()
 
 
 ENGINES = {

@@ -180,17 +180,30 @@ class MemoryHierarchy:
     # -- public API ---------------------------------------------------------
 
     def process(self, batch: AccessBatch) -> None:
-        """Run one batch through both cache levels and the timing model."""
+        """Run one batch through both cache levels and the timing model.
+
+        Every engine folds its counters here; only :meth:`_step`, which
+        moves the cache state, differs between engines.
+        """
         phase = self.phases.setdefault(batch.phase, HierarchyCounters())
+        tlb_before = self.tlb.misses
+        l1_misses, l2_misses, l1_wb, l2_wb = self._step(batch)
+        n_accesses = int(batch.counts.sum())
         if batch.kind == KIND_PREFETCH:
-            self._process_prefetch(batch, phase)
+            # Software prefetches fill without stalling and without
+            # counting their TLB translations.  Within a run event of
+            # ``count`` prefetches to one granule only the first can miss;
+            # the rest hit the line it just fetched.
+            for scope in (self.total, phase):
+                scope.l1_writebacks += l1_wb
+                scope.l2_writebacks += l2_wb
+                scope.prefetch_l2_misses += l2_misses
+                scope.prefetch_issued += n_accesses
+                scope.prefetch_l1_misses += l1_misses
+                scope.prefetch_l1_hits += n_accesses - l1_misses
+                scope.alu_ops += batch.alu_ops
             return
         is_write = batch.kind == KIND_WRITE
-        n_accesses = int(batch.counts.sum())
-        tlb_before = self.tlb.misses
-        l1_misses, l2_misses, l1_wb, l2_wb = self._run_demand(
-            batch.lines.tolist(), batch.counts.tolist(), is_write
-        )
         tlb_misses = self.tlb.misses - tlb_before
         for scope in (self.total, phase):
             if is_write:
@@ -206,6 +219,16 @@ class MemoryHierarchy:
             scope.tlb_misses += tlb_misses
             scope.alu_ops += batch.alu_ops
         self._charge_time(batch, n_accesses, is_write, l1_misses, l2_misses, phase)
+
+    def replay(self, batches) -> None:
+        """Run a whole recorded trace, one :meth:`process` call per batch.
+
+        This loop is the oracle for :meth:`FastMemoryHierarchy.replay
+        <repro.memsim.fastpath.FastMemoryHierarchy.replay>`, which runs
+        the trace in one kernel call and must leave identical counters.
+        """
+        for batch in batches:
+            self.process(batch)
 
     def access_line(self, granule: int, is_write: bool) -> bool:
         """Single demand access (testing convenience); returns L1 hit."""
@@ -240,16 +263,20 @@ class MemoryHierarchy:
 
     # -- internals ----------------------------------------------------------
 
-    def _run_demand(self, lines, counts, is_write: bool, prefetch: bool = False):
-        """Hot loop: inlined L1+L2 with inclusion. Returns miss/writeback deltas.
+    def _step(self, batch: AccessBatch):
+        """Hot loop: inlined L1+L2 with inclusion over one batch's line events.
 
-        With ``prefetch=True`` the loop applies software-prefetch semantics:
-        lines already resident in L1 are skipped without an LRU promotion or
-        a TLB translation, and ``l1_misses`` counts the prefetch fills.  The
-        miss path (evict, fill, L2 demand, inclusion) is shared verbatim so
-        one batched call replaces the per-line calls the prefetch handler
-        used to issue.
+        Returns ``(l1_misses, l2_misses, l1_writebacks, l2_writebacks)``.
+        A prefetch batch gets software-prefetch semantics: lines already
+        resident in L1 are skipped without an LRU promotion or a TLB
+        translation, and ``l1_misses`` counts the prefetch fills.  The miss
+        path (evict, fill, L2 demand, inclusion) is shared verbatim, so a
+        prefetch batch runs as one pass and later prefetches in it see the
+        fills of earlier ones.
         """
+        lines = batch.lines.tolist()
+        is_write = batch.kind == KIND_WRITE
+        prefetch = batch.kind == KIND_PREFETCH
         l1_sets = self._l1_sets
         l2_sets = self._l2_sets
         l1_mask = self._l1_mask
@@ -336,28 +363,6 @@ class MemoryHierarchy:
 
         self._tlb_last_page = tlb_last
         return l1_misses, l2_misses, l1_wb, l2_wb
-
-    def _process_prefetch(self, batch: AccessBatch, phase: HierarchyCounters) -> None:
-        """Software prefetches: fills without stalls, hit/miss bookkeeping.
-
-        Within a run event of ``count`` prefetches to one granule, only the
-        first can miss; the rest hit the line it just fetched.  The whole
-        batch goes through one prefetch-mode demand pass, so lines missing
-        from L1 fill immediately and later prefetches in the batch see
-        up-to-date cache state; they add traffic but never stall.
-        """
-        issued = int(batch.counts.sum())
-        pf_l1_misses, l2m_total, l1_wb_total, l2_wb_total = self._run_demand(
-            batch.lines.tolist(), None, False, prefetch=True
-        )
-        for scope in (self.total, phase):
-            scope.l1_writebacks += l1_wb_total
-            scope.l2_writebacks += l2_wb_total
-            scope.prefetch_l2_misses += l2m_total
-            scope.prefetch_issued += issued
-            scope.prefetch_l1_misses += pf_l1_misses
-            scope.prefetch_l1_hits += issued - pf_l1_misses
-            scope.alu_ops += batch.alu_ops
 
     def _charge_time(
         self,

@@ -55,9 +55,10 @@ class TimingSpec:
         return l1_misses_hitting_l2 * exposed
 
     def dram_stall(self, l2_misses: int, dram_latency_cycles: float) -> float:
-        """Stall cycles charged to L2 misses after MLP overlap and OoO hiding."""
-        if l2_misses == 0:
-            return 0.0
+        """Stall cycles charged to L2 misses after MLP overlap and OoO hiding.
+
+        Like the other formulas it takes NumPy arrays as well as ints.
+        """
         # Misses overlap in groups of up to ``mshr``; each group exposes one
         # full DRAM latency, of which the OoO core hides ``hide_dram``.
         groups = -(-l2_misses // self.mshr)

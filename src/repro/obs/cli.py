@@ -212,8 +212,7 @@ def _probe_hierarchy(width: int, height: int, n_frames: int, direction: str):
     else:
         recorded = _record_decode(workload, encode_untraced(workload), None)
     hierarchy = STUDY_MACHINES[0].build_hierarchy()
-    for batch in recorded.batches:
-        hierarchy.process(batch)
+    hierarchy.replay(recorded.batches)
     return hierarchy
 
 

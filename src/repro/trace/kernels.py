@@ -7,7 +7,13 @@ behaviour:
 
 - **Exact strided geometry.** Block and plane sweeps emit one event per
   (row, granule) with the exact number of byte accesses that land in that
-  granule, in raster order.
+  granule, in raster order.  The geometry is translation-invariant: a
+  rectangle starting at byte ``start = 32 * q + o`` has row ``r`` at
+  ``32 * q + (o + r * stride)``, so every granule index is ``q`` plus that
+  of the same rectangle started at byte ``o``, and every byte count is
+  the same.  :func:`_strided_lines` therefore keeps one read-only
+  template per ``(o, stride, h, w)`` and adds ``start >> 5`` to it, and
+  the emitters of every macroblock share a handful of templates.
 
 - **Resident-set collapsed motion estimation.**  During one macroblock's
   full search, the 48x48 search window (~2.3 KB) and the current block
@@ -23,6 +29,8 @@ behaviour:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.codec.framestore import BORDER
@@ -34,8 +42,25 @@ from repro.video.yuv import MB_SIZE
 
 
 def _strided_lines(base: int, stride: int, y0: int, x0: int, h: int, w: int):
-    """Granule stream for a rectangular byte region, raster order, exact counts."""
-    starts = base + (y0 + np.arange(h, dtype=np.int64)) * stride + x0
+    """Granule stream for a rectangular byte region, raster order, exact counts.
+
+    ``counts`` is a shared read-only template (see :func:`_granule_template`).
+    """
+    start = base + y0 * stride + x0
+    lines, counts = _granule_template(start & (GRANULE_BYTES - 1), stride, h, w)
+    return lines + (start >> GRANULE_SHIFT), counts
+
+
+@functools.lru_cache(maxsize=4096)
+def _granule_template(offset: int, stride: int, h: int, w: int):
+    """Granule runs of an ``h`` x ``w`` rectangle whose first byte is ``offset``.
+
+    Every rectangle of this shape and stride whose start is ``offset``
+    modulo 32 has these runs shifted by its start granule (the module
+    docstring's translation invariance), so they all share these arrays;
+    hence read-only.
+    """
+    starts = offset + np.arange(h, dtype=np.int64) * stride
     g_first = starts >> GRANULE_SHIFT
     g_last = (starts + w - 1) >> GRANULE_SHIFT
     per_row = (g_last - g_first + 1).astype(np.int64)
@@ -49,6 +74,8 @@ def _strided_lines(base: int, stride: int, y0: int, x0: int, h: int, w: int):
     counts = np.minimum(row_start + w, granule_start + GRANULE_BYTES) - np.maximum(
         row_start, granule_start
     )
+    lines.flags.writeable = False
+    counts.flags.writeable = False
     return lines, counts
 
 

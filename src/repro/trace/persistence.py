@@ -46,13 +46,8 @@ import numpy as np
 
 from repro import obs
 from repro.codec.engine import codec_knobs
-from repro.core.runner.chaos import (
-    POINT_TRACE_LOAD,
-    POINT_TRACE_STORE,
-    chaos_from_env,
-)
 from repro.ioutil import atomic_write
-from repro.memsim.events import AccessBatch
+from repro.memsim.events import AccessBatch, BatchTable
 
 FORMAT_VERSION = 1
 
@@ -176,9 +171,11 @@ class RecordedTrace:
     ``scale`` and ``footprint_bytes`` are recorder-side facts fixed at
     record time; ``encoded`` carries the bitstreams an encode run produced
     (empty for decode runs, whose input streams the caller already holds).
+    ``batches`` is a :class:`~repro.memsim.events.BatchTable`, built once
+    per recording and replayed into every machine.
     """
 
-    batches: list[AccessBatch]
+    batches: BatchTable
     scale: float
     footprint_bytes: int
     encoded: list
@@ -284,6 +281,9 @@ class TraceCacheStore:
         (bit rot, a torn copy, manual tampering) count as unreadable: the
         entry is evicted so the caller's re-recording can be stored.
         """
+        # Imported here: repro.core imports this module while it loads.
+        from repro.core.runner.chaos import POINT_TRACE_LOAD, chaos_from_env
+
         entry = self.entry_path(key)
         if not entry.exists():
             obs.counter_add("trace_cache.misses")
@@ -307,7 +307,7 @@ class TraceCacheStore:
                     raise ValueError(
                         f"digest mismatch for {name}: {actual} != {digests[name]}"
                     )
-            batches = list(load_trace(entry / "trace.npz"))
+            batches = BatchTable(load_trace(entry / "trace.npz"))
             with open(entry / "streams.pkl", "rb") as handle:
                 encoded = pickle.load(handle)
             scale = float(meta["scale"])
@@ -330,6 +330,8 @@ class TraceCacheStore:
 
     def store(self, key: str, recorded: RecordedTrace) -> None:
         """Persist one recording; loses gracefully to concurrent writers."""
+        from repro.core.runner.chaos import POINT_TRACE_STORE, chaos_from_env
+
         entry = self.entry_path(key)
         if entry.exists():
             return

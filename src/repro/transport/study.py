@@ -157,8 +157,7 @@ def _traced_decode_counters(stream: bytes) -> dict:
     except BitstreamError:
         pass  # counters up to the rejection point are still meaningful
     hierarchy = _MACHINE.build_hierarchy()
-    for batch in capture.batches:
-        hierarchy.process(batch.collapsed())
+    hierarchy.replay(capture.batches)
     return _counter_snapshot(hierarchy.total)
 
 

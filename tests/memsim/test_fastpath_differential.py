@@ -6,7 +6,13 @@ stream and requires **bit-identical** counters -- hits, misses, writebacks
 at both levels, prefetch outcomes, TLB misses, and the derived timing --
 plus identical resident contents, under page-scatter indexing, inclusion
 back-invalidation, and mixed read/write/prefetch traffic.
+
+The fast engine's whole-trace :meth:`~FastMemoryHierarchy.replay` is held
+to a per-batch ``process`` loop of the reference engine the same way,
+including phase order and the float clocks' last bits.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memsim.cache import CacheGeometry, SetAssocCache
-from repro.memsim.events import KIND_PREFETCH, KIND_READ, KIND_WRITE, AccessBatch
+from repro.memsim.events import (
+    KIND_PREFETCH,
+    KIND_READ,
+    KIND_WRITE,
+    AccessBatch,
+    BatchTable,
+)
 from repro.memsim.fastpath import FastMemoryHierarchy, engine_class, kernel_available
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.memsim.timing import TimingSpec
@@ -86,15 +98,27 @@ def assert_state_equal(reference, fast):
     assert fast.tlb.contents() == reference.tlb.contents()
 
 
+def assert_same(reference, fast):
+    assert_counters_equal(reference, fast)
+    assert_state_equal(reference, fast)
+    assert list(fast.phases) == list(reference.phases)
+    for phase in reference.phases:
+        assert_counters_equal(reference.phases[phase], fast.phases[phase], scope="")
+
+
 def run_both(reference, fast, batches):
     for batch in batches:
         reference.process(batch)
         fast.process(batch)
-    assert_counters_equal(reference, fast)
-    assert_state_equal(reference, fast)
-    assert set(fast.phases) == set(reference.phases)
-    for phase in reference.phases:
-        assert_counters_equal(reference.phases[phase], fast.phases[phase], scope="")
+    assert_same(reference, fast)
+
+
+def replay_both(reference, fast, batches):
+    """The reference engine batch by batch; the fast engine in one replay."""
+    for batch in batches:
+        reference.process(batch)
+    fast.replay(BatchTable(batches))
+    assert_same(reference, fast)
 
 
 def random_batches(rng, n_batches, max_line, max_events=200, kinds=(0, 1, 2)):
@@ -177,6 +201,150 @@ class TestDifferentialRandom:
             for kind, lines in stream
         ]
         run_both(reference, fast, batches)
+
+
+def alu_only(phase="other", alu_ops=7):
+    empty = np.zeros(0, dtype=np.int64)
+    return AccessBatch(KIND_READ, empty, empty, phase=phase, alu_ops=alu_ops)
+
+
+class TestReplayDifferential:
+    """``FastMemoryHierarchy.replay`` against a reference ``process`` loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_traffic(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        reference, fast = make_pair()
+        replay_both(reference, fast, random_batches(rng, 120, 4096))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_page_scatter_and_tiny_tlb(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        reference, fast = make_pair(page_scatter=True, tlb_entries=4)
+        replay_both(reference, fast, random_batches(rng, 80, 1 << 16))
+
+    def test_inclusion_churn(self, rng):
+        args = (
+            CacheGeometry(1 << 10, 32, 2),
+            CacheGeometry(2 << 10, 128, 1),
+            make_timing(),
+        )
+        reference = MemoryHierarchy(*args)
+        fast = FastMemoryHierarchy(*args)
+        replay_both(reference, fast, random_batches(rng, 80, 512))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_prefetch_heavy_streams(self, seed):
+        """Prefetch fills touch the TLB on new pages, but only demand
+        batches may count TLB misses."""
+        rng = np.random.default_rng(500 + seed)
+        reference, fast = make_pair(l1_kb=1, l2_kb=2, tlb_entries=4)
+        batches = random_batches(rng, 120, 1 << 15, kinds=(2, 2, 2, 0, 1))
+        replay_both(reference, fast, batches)
+        assert fast.total.prefetch_issued > 0
+
+    def test_alu_only_batches(self, rng):
+        """Empty batches charge compute and phases, and nothing else."""
+        batches = random_batches(rng, 40, 2048)
+        for index in (0, 5, 17, len(batches)):
+            batches.insert(index, alu_only("vlc", alu_ops=index + 3))
+        reference, fast = make_pair()
+        replay_both(reference, fast, batches)
+
+    def test_only_alu_batches(self):
+        reference, fast = make_pair()
+        replay_both(reference, fast, [alu_only(p, n) for n, p in enumerate("abca")])
+        assert list(fast.phases) == ["a", "b", "c"]
+
+    def test_empty_trace(self):
+        reference, fast = make_pair()
+        replay_both(reference, fast, [])
+        assert fast.phases == {}
+
+    def test_interleaved_phases(self, rng):
+        """Phases come and go; they must appear in first-use order."""
+        batches = random_batches(rng, 90, 4096)
+        names = ["me", "dct", "me", "vlc", "pad", "dct", "other"]
+        for index, batch in enumerate(batches):
+            batch.phase = names[index % len(names)] if index < 80 else "late"
+        reference, fast = make_pair()
+        replay_both(reference, fast, batches)
+        assert list(fast.phases) == ["me", "dct", "vlc", "pad", "other", "late"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_replay_onto_a_used_hierarchy(self, seed):
+        """The fold starts from non-zero counters, clocks and phases."""
+        rng = np.random.default_rng(600 + seed)
+        reference, fast = make_pair(page_scatter=True)
+        run_both(reference, fast, random_batches(rng, 30, 4096))
+        replay_both(reference, fast, random_batches(rng, 60, 4096))
+        # ... and a second replay onto the first one's state.
+        replay_both(reference, fast, random_batches(rng, 60, 4096))
+        for batch in random_batches(rng, 10, 4096):
+            batch.phase = "fresh"
+            reference.process(batch)
+            fast.process(batch)
+        assert_same(reference, fast)
+
+    def test_plain_batch_list(self, rng):
+        batches = random_batches(rng, 40, 2048)
+        reference, fast = make_pair()
+        for batch in batches:
+            reference.process(batch)
+        fast.replay(batches)
+        assert_same(reference, fast)
+
+    def test_uncollapsed_runs(self, rng):
+        """A table of uncollapsed batches replays like their collapsed form."""
+        batches = []
+        for kind in (0, 1, 2, 0, 1):
+            raw = np.repeat(rng.integers(0, 512, size=80), rng.integers(1, 4, size=80))
+            batches.append(AccessBatch(kind, raw, np.ones_like(raw), alu_ops=9))
+        reference, fast = make_pair()
+        replay_both(reference, fast, batches)
+
+    def test_unpickled_table_replays_identically(self, rng):
+        """A table pickles as its batches; the copy reads its own addresses."""
+        table = BatchTable(random_batches(rng, 50, 4096))
+        copy = pickle.loads(pickle.dumps(table))
+        assert isinstance(copy, BatchTable)
+        assert not np.array_equal(copy.rows[:, :2], table.rows[:, :2])
+        _, fast = make_pair()
+        _, fast_copy = make_pair()
+        fast.replay(table)
+        fast_copy.replay(copy)
+        assert_same(fast, fast_copy)
+
+    def test_reference_replay_is_the_process_loop(self, rng):
+        batches = random_batches(rng, 40, 2048)
+        reference, _ = make_pair()
+        replayed, _ = make_pair()
+        for batch in batches:
+            reference.process(batch)
+        replayed.replay(BatchTable(batches))
+        assert_same(reference, replayed)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([KIND_READ, KIND_WRITE, KIND_PREFETCH]),
+                st.lists(st.integers(min_value=0, max_value=2047), max_size=60),
+                st.sampled_from(["a", "b", "c"]),
+                st.integers(min_value=0, max_value=100),
+            ),
+            max_size=20,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_streams(self, stream):
+        reference, fast = make_pair(l1_kb=1, l2_kb=2, page_scatter=True)
+        batches = [
+            AccessBatch(kind, np.array(lines, dtype=np.int64),
+                        np.ones(len(lines), dtype=np.int64), phase=phase,
+                        alu_ops=alu)
+            for kind, lines, phase, alu in stream
+        ]
+        replay_both(reference, fast, batches)
 
 
 class TestDifferentialAgainstCacheModel:

@@ -7,6 +7,8 @@ literal per-candidate emission.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.codec.framestore import BORDER
 from repro.memsim.cache import CacheGeometry
@@ -114,6 +116,42 @@ class TestStridedLines:
     def test_total_accesses_exact(self):
         lines, counts = tk._strided_lines(1000, 752, 16, 16, 64, 48)
         assert counts.sum() == 64 * 48
+
+    @given(
+        base=st.integers(min_value=0, max_value=1 << 40),
+        stride=st.integers(min_value=1, max_value=5000),
+        y0=st.integers(min_value=0, max_value=300),
+        x0=st.integers(min_value=0, max_value=300),
+        h=st.integers(min_value=1, max_value=24),
+        w=st.integers(min_value=1, max_value=120),
+    )
+    @example(base=0, stride=64, y0=0, x0=24, h=3, w=16)  # rows cross granules
+    @example(base=31, stride=33, y0=1, x0=0, h=5, w=97)  # w > 32, odd stride
+    @settings(max_examples=300, deadline=None)
+    def test_templates_match_the_direct_formula(self, base, stride, y0, x0, h, w):
+        """Template runs plus ``start >> 5`` equal each row's byte-by-byte
+        granule runs, for any start, stride and shape."""
+        lines, counts = tk._strided_lines(base, stride, y0, x0, h, w)
+        expected_lines, expected_counts = [], []
+        for row in range(h):
+            row_start = base + (y0 + row) * stride + x0
+            granules = np.arange(row_start, row_start + w) >> GRANULE_SHIFT
+            runs, sizes = np.unique(granules, return_counts=True)
+            expected_lines += runs.tolist()
+            expected_counts += sizes.tolist()
+        assert lines.tolist() == expected_lines
+        assert counts.tolist() == expected_counts
+        assert not counts.flags.writeable
+        with pytest.raises(ValueError):
+            counts[0] = 0
+
+    def test_templates_are_shared_by_translated_rectangles(self):
+        """Rectangles a whole number of granules apart share one template."""
+        first_lines, first_counts = tk._strided_lines(40, 752, 16, 16, 16, 16)
+        lines, counts = tk._strided_lines(40 + 7 * 32, 752, 16, 16, 16, 16)
+        assert counts is first_counts
+        assert (lines - first_lines).tolist() == [7] * lines.size
+        assert lines.flags.writeable  # the translated lines are the caller's
 
     def test_sequential_lines(self):
         lines, counts = tk._sequential_lines(10, 100)
