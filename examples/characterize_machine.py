@@ -9,7 +9,8 @@ paper, at a demo-friendly resolution.
 Run:  python examples/characterize_machine.py
 """
 
-from repro.core import STUDY_MACHINES, Workload, characterize_decode, characterize_encode
+from repro.core.machines import STUDY_MACHINES
+from repro.core.study import Workload, characterize_decode, characterize_encode
 
 
 def show(result) -> None:

@@ -10,7 +10,8 @@ about a minute).
 Run:  python examples/image_size_sweep.py
 """
 
-from repro.core import SGI_O2, Workload, characterize_decode
+from repro.core.machines import SGI_O2
+from repro.core.study import Workload, characterize_decode
 
 SIZES = [(176, 144), (352, 288), (704, 576)]
 

@@ -14,7 +14,7 @@ Run:  python examples/multi_object_scene.py
 import numpy as np
 
 from repro.codec import CodecConfig, VopDecoder, VopEncoder
-from repro.core import Workload, build_workload_inputs
+from repro.core.study import Workload, build_workload_inputs
 from repro.video import psnr
 
 

@@ -13,7 +13,8 @@ import tempfile
 from pathlib import Path
 
 from repro.codec import CodecConfig, VopEncoder
-from repro.core import EXTENDED_PLATFORMS, SGI_O2
+from repro.core.machines import SGI_O2
+from repro.core.platforms import EXTENDED_PLATFORMS
 from repro.trace import TraceCapture, TraceRecorder, replay_trace
 from repro.video import SceneSpec, SyntheticScene
 

@@ -13,20 +13,8 @@ Public entry points:
 - :mod:`repro.trace` -- codec instrumentation;
 - :mod:`repro.audio` -- the MP3-class audio codec (Section 1 claim);
 - :mod:`repro.core` -- machines, metrics, and the experiment registry
-  (:func:`repro.core.run_experiment` regenerates any paper artifact).
+  (:func:`repro.core.experiments.run_experiment` regenerates any paper
+  artifact).
 """
 
 __version__ = "1.0.0"
-
-from repro.codec import CodecConfig, VopDecoder, VopEncoder, VopType
-from repro.video import SceneSpec, SyntheticScene
-
-__all__ = [
-    "CodecConfig",
-    "SceneSpec",
-    "SyntheticScene",
-    "VopDecoder",
-    "VopEncoder",
-    "VopType",
-    "__version__",
-]

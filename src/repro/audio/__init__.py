@@ -13,18 +13,15 @@ allocation, bitstream packing -- plus trace instrumentation, so the same
 characterization harness that measures video can measure audio.
 """
 
-from repro.audio.codec import AudioDecoder, AudioEncoder, EncodedAudio
-from repro.audio.mdct import FRAME_SAMPLES, SPECTRAL_BINS, imdct_frame, mdct_frame
+from repro.audio.codec import AudioDecoder, AudioEncoder
+from repro.audio.mdct import FRAME_SAMPLES, SPECTRAL_BINS
 from repro.audio.synthesis import AudioSpec, synthesize_audio
 
 __all__ = [
     "AudioDecoder",
     "AudioEncoder",
     "AudioSpec",
-    "EncodedAudio",
     "FRAME_SAMPLES",
     "SPECTRAL_BINS",
-    "imdct_frame",
-    "mdct_frame",
     "synthesize_audio",
 ]

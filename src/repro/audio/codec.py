@@ -142,9 +142,8 @@ class AudioEncoder:
         L1-resident, touched many times: the locality the paper ascribes
         to frame-based audio codecs.
         """
-        from repro.trace import kernels as tk
-
         rec = self._rec
+        tk = rec.kernels
         regions = self._regions
         n = 2 * FRAME_SAMPLES
         log_n = int(math.log2(n)) + 1
@@ -201,9 +200,8 @@ class AudioDecoder:
         return bands.reshape(SPECTRAL_BINS)
 
     def _emit_frame_trace(self) -> None:
-        from repro.trace import kernels as tk
-
         rec = self._rec
+        tk = rec.kernels
         regions = self._regions
         n = 2 * FRAME_SAMPLES
         log_n = int(math.log2(n)) + 1

@@ -27,10 +27,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.experiments import EXPERIMENTS, SCALES, StudyRunner, run_experiment
-
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.experiments import SCALES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -125,6 +125,8 @@ def main(argv: list[str] | None = None) -> int:
         from repro.obs.cli import obs_main
 
         return obs_main(argv[1:])
+    from repro.core.experiments import EXPERIMENTS, SCALES, StudyRunner, run_experiment
+
     args = build_parser().parse_args(argv)
     if args.engine is not None:
         os.environ["REPRO_ENGINE"] = args.engine

@@ -18,15 +18,8 @@ Every encode is decodable: ``decode(encode(x))`` reconstructs exactly the
 encoder's local reconstruction (bit-exact drift-free loop).
 """
 
-from repro.codec.decoder import DecodedSequence, VopDecoder
-from repro.codec.encoder import EncodedSequence, VopEncoder
-from repro.codec.renditions import (
-    DEFAULT_LADDER,
-    RenditionEncoding,
-    RenditionSpec,
-    encode_ladder,
-    encode_rendition,
-)
+from repro.codec.decoder import VopDecoder
+from repro.codec.encoder import VopEncoder
 from repro.codec.errors import (
     ArithCoderError,
     BitstreamError,
@@ -37,29 +30,19 @@ from repro.codec.errors import (
     TruncatedStreamError,
     VlcError,
 )
-from repro.codec.types import CodecConfig, SequenceStats, VopStats, VopType, coding_order
+from repro.codec.types import CodecConfig, VopType
 
 __all__ = [
     "ArithCoderError",
     "BitstreamError",
     "CodecConfig",
-    "DEFAULT_LADDER",
-    "RenditionEncoding",
-    "RenditionSpec",
-    "encode_ladder",
-    "encode_rendition",
     "DecodeBudgetExceededError",
-    "DecodedSequence",
-    "EncodedSequence",
     "HeaderError",
     "MalformedStreamError",
-    "SequenceStats",
     "ShapeError",
     "TruncatedStreamError",
     "VlcError",
     "VopDecoder",
     "VopEncoder",
-    "VopStats",
     "VopType",
-    "coding_order",
 ]

@@ -117,11 +117,7 @@ class VopDecoder:
     ) -> None:
         self.walk_tables = walk_tables
         self._rec = recorder
-        self._tk = None
-        if recorder is not None:
-            from repro.trace import kernels
-
-            self._tk = kernels
+        self._tk = None if recorder is None else recorder.kernels
         self._stream_name = stream_name
         self.width = 0
         self.height = 0

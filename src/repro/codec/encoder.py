@@ -116,11 +116,7 @@ class VopEncoder:
         # the same structures in the reference software.
         self.walk_tables = walk_tables
         self._rec = recorder
-        self._tk = None
-        if recorder is not None:
-            from repro.trace import kernels
-
-            self._tk = kernels
+        self._tk = None if recorder is None else recorder.kernels
         name = stream_name
         self._cur = FrameStore(config.width, config.height, f"{name}.cur", recorder)
         self._anchors = [

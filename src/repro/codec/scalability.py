@@ -91,11 +91,6 @@ def upsample_frame(frame: YuvFrame, width: int, height: int) -> tuple:
     )
 
 
-# Backwards-compatible private aliases (pre-rendition-ladder callers).
-_downsample_frame = downsample_frame
-_upsample_frame = upsample_frame
-
-
 def _residual_frame(original: YuvFrame, predicted_planes: tuple) -> YuvFrame:
     planes = []
     for (_, orig), pred in zip(original.planes(), predicted_planes):
@@ -177,14 +172,14 @@ class ScalableEncoder:
             ]
         base = self.base_encoder.encode_sequence(
             [
-                _downsample_frame(frame, self.base_width, self.base_height)
+                downsample_frame(frame, self.base_width, self.base_height)
                 for frame in frames
             ],
             base_masks,
         )
         config = self.config
         residuals = [
-            _residual_frame(frame, _upsample_frame(recon, config.width, config.height))
+            _residual_frame(frame, upsample_frame(recon, config.width, config.height))
             for frame, recon in zip(frames, base.reconstructions)
         ]
         enhancement = self.enhancement_encoder.encode_sequence(residuals)
@@ -211,6 +206,6 @@ class ScalableDecoder:
         width = enhancement.width
         height = enhancement.height
         return [
-            _compose_frame(residual, _upsample_frame(base_frame, width, height))
+            _compose_frame(residual, upsample_frame(base_frame, width, height))
             for residual, base_frame in zip(enhancement.frames, base.frames)
         ]

@@ -16,25 +16,3 @@ Two correctness gates live here, both exercised by ``python -m repro``:
   under ``vectors/``.  ``python -m repro conformance --check`` verifies
   them; ``--update`` regenerates after an intentional codec change.
 """
-
-from repro.conformance.fuzzer import MUTATIONS, BitstreamFuzzer, FuzzCase
-from repro.conformance.golden import (
-    check_golden,
-    compute_golden,
-    default_golden_path,
-    update_golden,
-)
-from repro.conformance.harness import CaseResult, SweepReport, run_corruption_sweep
-
-__all__ = [
-    "BitstreamFuzzer",
-    "CaseResult",
-    "FuzzCase",
-    "MUTATIONS",
-    "SweepReport",
-    "check_golden",
-    "compute_golden",
-    "default_golden_path",
-    "run_corruption_sweep",
-    "update_golden",
-]

@@ -15,7 +15,7 @@ stream into one of five outcomes:
 - ``hang``: the per-case wall-clock budget expired -- a contract
   violation.
 
-Hang detection uses the shared :func:`repro.core.runner.time_budget`
+Hang detection uses the shared :func:`repro.core.runner.deadline.time_budget`
 utility -- ``SIGALRM`` on the main thread, an async-exception deadline
 everywhere else -- so the sweep interrupts runaway cases even when run
 from worker threads, and shares one timeout implementation with the
@@ -33,12 +33,6 @@ from repro.core.runner.deadline import BudgetExpired, time_budget
 
 #: Acceptance-criteria default: five seconds of wall clock per case.
 DEFAULT_TIME_BUDGET_S = 5.0
-
-# Back-compat aliases: the harness's budget machinery moved to
-# repro.core.runner.deadline where the study supervisor shares it.
-_BudgetExpired = BudgetExpired
-_time_budget = time_budget
-
 
 @dataclass(frozen=True)
 class CaseResult:
@@ -97,13 +91,13 @@ def decode_case(
     """Apply one corruption and decode it under the contract."""
     corrupted = case.apply(data)
     try:
-        with _time_budget(time_budget_s):
+        with time_budget(time_budget_s):
             decoded = VopDecoder().decode_sequence(
                 corrupted, tolerate_errors=tolerate_errors
             )
     except BitstreamError as error:
         return CaseResult(case, "rejected", type(error).__name__)
-    except _BudgetExpired:
+    except BudgetExpired:
         return CaseResult(case, "hang", f"exceeded {time_budget_s:.1f}s budget")
     except Exception as error:  # noqa: BLE001 -- the contract violation we hunt
         return CaseResult(case, "uncaught", f"{type(error).__name__}: {error}")

@@ -9,61 +9,7 @@
 - :mod:`repro.core.runner.deadline` -- the shared wall-clock budget
   utility (SIGALRM + portable async-exception fallback);
 - :mod:`repro.core.runner.clock` -- injectable real/fake clocks;
-- :mod:`repro.core.runner.orchestrator` -- ``repro study`` itself
-  (imported explicitly; not re-exported here to keep the dependency
-  graph acyclic with :mod:`repro.core.study`).
+- :mod:`repro.core.runner.sweep` -- the per-cell publish/resume loop
+  the four grid studies share;
+- :mod:`repro.core.runner.orchestrator` -- ``repro study`` itself.
 """
-
-from repro.core.runner.chaos import (
-    CHAOS_ENV,
-    ChaosError,
-    ChaosInjector,
-    ChaosProfile,
-    PROFILES,
-    chaos_from_env,
-    parse_chaos_spec,
-)
-from repro.core.runner.clock import REAL_CLOCK, Clock, FakeClock, RealClock
-from repro.core.runner.deadline import BudgetExpired, time_budget
-from repro.core.runner.manifest import (
-    ManifestError,
-    RunManifest,
-    list_runs,
-    runs_root,
-)
-from repro.core.runner.supervisor import (
-    BackoffScheduler,
-    QuarantinedTaskError,
-    RetryPolicy,
-    SupervisedPool,
-    TaskAttempt,
-    TaskOutcome,
-    WorkerBudget,
-)
-
-__all__ = [
-    "BackoffScheduler",
-    "BudgetExpired",
-    "CHAOS_ENV",
-    "ChaosError",
-    "ChaosInjector",
-    "ChaosProfile",
-    "Clock",
-    "FakeClock",
-    "ManifestError",
-    "PROFILES",
-    "QuarantinedTaskError",
-    "REAL_CLOCK",
-    "RealClock",
-    "RetryPolicy",
-    "RunManifest",
-    "SupervisedPool",
-    "TaskAttempt",
-    "TaskOutcome",
-    "WorkerBudget",
-    "chaos_from_env",
-    "list_runs",
-    "parse_chaos_spec",
-    "runs_root",
-    "time_budget",
-]

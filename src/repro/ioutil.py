@@ -24,6 +24,8 @@ import os
 import tempfile
 from pathlib import Path
 
+from repro.core.runner.chaos import chaos_from_env
+
 __all__ = ["atomic_write", "sha256_hex"]
 
 
@@ -51,9 +53,6 @@ def atomic_write(
     if isinstance(data, str):
         data = data.encode("utf-8")
     if chaos_point is not None:
-        # Imported lazily: ioutil sits below the runner package.
-        from repro.core.runner.chaos import chaos_from_env
-
         injector = chaos_from_env()
         if injector is not None:
             injector.maybe_io_error(chaos_point, chaos_key)

@@ -16,36 +16,3 @@ counters.  It provides:
 - :mod:`repro.memsim.prefetch` -- helpers for modelling compiler-inserted
   software prefetching.
 """
-
-from repro.memsim.cache import CacheGeometry, SetAssocCache
-from repro.memsim.dram import BusSpec, DramSpec
-from repro.memsim.events import (
-    GRANULE_BYTES,
-    GRANULE_SHIFT,
-    KIND_PREFETCH,
-    KIND_READ,
-    KIND_WRITE,
-    AccessBatch,
-    coalesce_lines,
-)
-from repro.memsim.hierarchy import HierarchyCounters, MemoryHierarchy
-from repro.memsim.prefetch import prefetch_stream
-from repro.memsim.timing import TimingSpec
-
-__all__ = [
-    "AccessBatch",
-    "BusSpec",
-    "CacheGeometry",
-    "DramSpec",
-    "GRANULE_BYTES",
-    "GRANULE_SHIFT",
-    "HierarchyCounters",
-    "KIND_PREFETCH",
-    "KIND_READ",
-    "KIND_WRITE",
-    "MemoryHierarchy",
-    "SetAssocCache",
-    "TimingSpec",
-    "coalesce_lines",
-    "prefetch_stream",
-]

@@ -74,7 +74,6 @@ from repro.memsim.events import (
 )
 from repro.memsim.hierarchy import HierarchyCounters, MemoryHierarchy
 from repro.memsim.timing import TimingSpec
-from repro.native.build import CACHE_ENV as _CACHE_ENV  # noqa: F401  (re-export)
 from repro.native.build import load_library
 
 _KERNEL_SOURCE = Path(__file__).with_name("_fastpath_kernel.c")
@@ -332,18 +331,30 @@ ENGINES = {
 }
 
 
-def engine_class() -> type[MemoryHierarchy]:
-    """The hierarchy engine selected by ``REPRO_ENGINE`` (default: fast).
+def engine_name() -> str:
+    """The name of the hierarchy engine a run uses.
 
-    With no usable C compiler the default silently degrades to the
-    reference engine (with a one-time warning); an explicit
-    ``REPRO_ENGINE=fast`` still raises at construction so misconfigured
+    ``REPRO_ENGINE`` when set; unset, ``fast`` when the C kernel loads
+    and ``reference`` when it does not.  An explicit ``REPRO_ENGINE=fast``
+    with no kernel still raises at construction, so misconfigured
     performance runs fail loudly rather than run 50x slow.
     """
-    name = os.environ.get("REPRO_ENGINE", "fast")
+    name = os.environ.get("REPRO_ENGINE")
+    if name is None:
+        return "fast" if kernel_available() else "reference"
     if name not in ENGINES:
         raise ValueError(f"REPRO_ENGINE must be one of {sorted(ENGINES)}, got {name!r}")
-    if name == "fast" and "REPRO_ENGINE" not in os.environ and not kernel_available():
+    return name
+
+
+def engine_class() -> type[MemoryHierarchy]:
+    """The hierarchy engine :func:`engine_name` names.
+
+    Falling back to the reference engine because no kernel loads warns
+    (once per call site).
+    """
+    name = engine_name()
+    if name == "reference" and "REPRO_ENGINE" not in os.environ:
         warnings.warn(
             "C kernel unavailable (no compiler, or the kernel cache is not "
             "writable); falling back to the reference simulation engine "
@@ -351,5 +362,4 @@ def engine_class() -> type[MemoryHierarchy]:
             RuntimeWarning,
             stacklevel=2,
         )
-        return MemoryHierarchy
     return ENGINES[name]

@@ -1,5 +1,1 @@
 """Runtime-compiled native kernels (shared build/cache machinery)."""
-
-from repro.native.build import CACHE_ENV, cache_dir, find_compiler, load_library
-
-__all__ = ["CACHE_ENV", "cache_dir", "find_compiler", "load_library"]

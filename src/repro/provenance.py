@@ -5,13 +5,14 @@ Benchmark JSONs (``BENCH_*.json``), telemetry exports, and obs reports
 all embed :func:`run_metadata` so a number on disk is attributable: the
 git SHA it was measured at, the host it ran on, and the engine knobs
 (``REPRO_CODEC_ENGINE``, ``REPRO_CODEC_IDCT``, ``REPRO_ENGINE``) that
-select between code paths with very different performance.  Without
-this, a perf trajectory across commits is guesswork.
+select between code paths with very different performance.  Each knob
+records the engine the run uses, not the raw variable: with no C kernel
+an unset ``REPRO_ENGINE`` runs, and is recorded as, ``reference``.
+Without this, a perf trajectory across commits is guesswork.
 """
 
 from __future__ import annotations
 
-import os
 import platform
 import socket
 import subprocess
@@ -41,12 +42,8 @@ def git_sha(repo_root: str | Path | None = None) -> str:
 
 def run_metadata() -> dict:
     """Provenance block embedded in benchmark/telemetry artifacts."""
-    from repro.codec.engine import (
-        ENGINE_ENV,
-        IDCT_ENV,
-        codec_engine,
-        codec_idct,
-    )
+    from repro.codec.engine import ENGINE_ENV, IDCT_ENV, codec_engine, codec_idct
+    from repro.memsim.fastpath import engine_name
 
     return {
         "git_sha": git_sha(),
@@ -56,6 +53,6 @@ def run_metadata() -> dict:
         "engine_knobs": {
             ENGINE_ENV: codec_engine(),
             IDCT_ENV: codec_idct(),
-            "REPRO_ENGINE": os.environ.get("REPRO_ENGINE", "fast"),
+            "REPRO_ENGINE": engine_name(),
         },
     }

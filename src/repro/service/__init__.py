@@ -22,110 +22,3 @@ across the recovery-policy ladder; ``python -m repro abrstudy`` sweeps
 delivered PSNR / rebuffer ratio / switch rate against provisioned
 bandwidth under time-varying channel capacity.
 """
-
-from repro.service.abr import (
-    ABR_OUTCOMES,
-    ABR_POLICIES,
-    ABR_POLICY_LADDER,
-    OUTCOME_REBUFFERED,
-    OUTCOME_SWITCHED_DOWN,
-    AbrPolicy,
-    AbrReport,
-    AbrSessionTrace,
-    ladder_tracks,
-    simulate_abr_fleet,
-    simulate_abr_session,
-)
-from repro.service.backends import BACKENDS, execute_schedule, run_tasks
-from repro.service.config import (
-    DEFAULT_CONFIG,
-    MODE_DEGRADED,
-    MODE_FULL,
-    ServiceConfig,
-)
-from repro.service.faults import (
-    FAULT_KINDS,
-    FaultConfig,
-    FaultPlan,
-    SessionFault,
-    corrupt_stream,
-)
-from repro.service.recovery import (
-    POLICIES,
-    POLICY_LADDER,
-    QUARANTINE_REASONS,
-    CircuitBreaker,
-    RecoveryPolicy,
-    RecoveryReport,
-    SessionChain,
-    simulate_recovery,
-)
-from repro.service.scheduler import (
-    EXTENDED_OUTCOMES,
-    OUTCOME_DEGRADED,
-    OUTCOME_QUARANTINED,
-    OUTCOME_SERVED,
-    OUTCOME_SERVED_RETRY,
-    OUTCOME_SHED,
-    SHED_REASONS,
-    FleetSchedule,
-    SessionPlan,
-    schedule_fleet,
-)
-from repro.service.seeding import SessionSeed, spawn_session_seeds
-from repro.service.session import (
-    SessionResult,
-    SessionSpec,
-    build_fleet,
-    execute_session,
-)
-
-__all__ = [
-    "ABR_OUTCOMES",
-    "ABR_POLICIES",
-    "ABR_POLICY_LADDER",
-    "AbrPolicy",
-    "AbrReport",
-    "AbrSessionTrace",
-    "BACKENDS",
-    "DEFAULT_CONFIG",
-    "OUTCOME_REBUFFERED",
-    "OUTCOME_SWITCHED_DOWN",
-    "ladder_tracks",
-    "run_tasks",
-    "simulate_abr_fleet",
-    "simulate_abr_session",
-    "EXTENDED_OUTCOMES",
-    "FAULT_KINDS",
-    "MODE_DEGRADED",
-    "MODE_FULL",
-    "OUTCOME_DEGRADED",
-    "OUTCOME_QUARANTINED",
-    "OUTCOME_SERVED",
-    "OUTCOME_SERVED_RETRY",
-    "OUTCOME_SHED",
-    "POLICIES",
-    "POLICY_LADDER",
-    "QUARANTINE_REASONS",
-    "SHED_REASONS",
-    "CircuitBreaker",
-    "FaultConfig",
-    "FaultPlan",
-    "FleetSchedule",
-    "RecoveryPolicy",
-    "RecoveryReport",
-    "ServiceConfig",
-    "SessionChain",
-    "SessionFault",
-    "SessionPlan",
-    "SessionResult",
-    "SessionSeed",
-    "SessionSpec",
-    "build_fleet",
-    "corrupt_stream",
-    "execute_schedule",
-    "execute_session",
-    "schedule_fleet",
-    "simulate_recovery",
-    "spawn_session_seeds",
-]

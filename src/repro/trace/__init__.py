@@ -13,18 +13,7 @@ Instruction counts (loads/stores come from the traces themselves; ALU
 operations from :mod:`repro.trace.costmodel`) feed the timing model.
 """
 
-from repro.trace.layout import AddressSpace, FrameMap, LinearRegion
-from repro.trace.persistence import TraceCapture, load_trace, replay_trace
-from repro.trace.recorder import BandSampling, TraceEverything, TraceRecorder
+from repro.trace.persistence import TraceCapture, replay_trace
+from repro.trace.recorder import BandSampling, TraceRecorder
 
-__all__ = [
-    "AddressSpace",
-    "BandSampling",
-    "FrameMap",
-    "LinearRegion",
-    "TraceCapture",
-    "TraceEverything",
-    "TraceRecorder",
-    "load_trace",
-    "replay_trace",
-]
+__all__ = ["BandSampling", "TraceCapture", "TraceRecorder", "replay_trace"]

@@ -46,6 +46,11 @@ import numpy as np
 
 from repro import obs
 from repro.codec.engine import codec_knobs
+from repro.core.runner.chaos import (
+    POINT_TRACE_LOAD,
+    POINT_TRACE_STORE,
+    chaos_from_env,
+)
 from repro.ioutil import atomic_write
 from repro.memsim.events import AccessBatch, BatchTable
 
@@ -281,9 +286,6 @@ class TraceCacheStore:
         (bit rot, a torn copy, manual tampering) count as unreadable: the
         entry is evicted so the caller's re-recording can be stored.
         """
-        # Imported here: repro.core imports this module while it loads.
-        from repro.core.runner.chaos import POINT_TRACE_LOAD, chaos_from_env
-
         entry = self.entry_path(key)
         if not entry.exists():
             obs.counter_add("trace_cache.misses")
@@ -330,8 +332,6 @@ class TraceCacheStore:
 
     def store(self, key: str, recorded: RecordedTrace) -> None:
         """Persist one recording; loses gracefully to concurrent writers."""
-        from repro.core.runner.chaos import POINT_TRACE_STORE, chaos_from_env
-
         entry = self.entry_path(key)
         if entry.exists():
             return

@@ -5,6 +5,8 @@ memory hierarchies.  Codec kernels call the emitters in
 :mod:`repro.trace.kernels`, which translate (buffer, coordinates) into
 granule streams and hand them to :meth:`TraceRecorder.emit`; the recorder
 attaches the current phase label and forwards the batch to every sink.
+The codec reaches the emitters through the recorder it is handed
+(:attr:`TraceRecorder.kernels`), so it never imports this package.
 
 Sampling: tracing multi-megapixel video exactly is feasible but slow, so
 the recorder supports *band sampling* -- trace a contiguous band of
@@ -29,6 +31,7 @@ from repro.memsim.events import (
     KIND_WRITE,
     AccessBatch,
 )
+from repro.trace import kernels
 from repro.trace.layout import AddressSpace, FrameMap, LinearRegion
 
 
@@ -79,6 +82,10 @@ class BandSampling:
 
 class TraceRecorder:
     """Routes instrumented-kernel events into simulator sinks."""
+
+    #: The emitters (:mod:`repro.trace.kernels`) the codec calls with this
+    #: recorder.
+    kernels = kernels
 
     def __init__(self, sinks, sampling=None) -> None:
         self.sinks = list(sinks)

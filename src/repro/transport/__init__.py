@@ -19,42 +19,15 @@ corruption:
   behind ``python -m repro resilience``.
 """
 
-from repro.transport.bandwidth import (
-    PROFILE_NAMES,
-    PROFILES,
-    BandwidthProfile,
-    BandwidthTrace,
-    build_trace,
-)
-from repro.transport.channel import (
-    GilbertElliottChannel,
-    LossProfile,
-    profile_for_loss,
-)
+from repro.transport.channel import GilbertElliottChannel, profile_for_loss
 from repro.transport.fec import add_parity, recover_with_parity
 from repro.transport.interleave import deinterleave, interleave
-from repro.transport.packetizer import (
-    Packet,
-    depacketize,
-    packetize,
-    split_at_startcodes,
-)
-from repro.transport.pipeline import (
-    TransmissionResult,
-    TransportConfig,
-    transmit_stream,
-)
+from repro.transport.packetizer import Packet, depacketize, packetize
+from repro.transport.pipeline import TransportConfig, transmit_stream
 
 __all__ = [
-    "BandwidthProfile",
-    "BandwidthTrace",
     "GilbertElliottChannel",
-    "LossProfile",
-    "PROFILES",
-    "PROFILE_NAMES",
-    "build_trace",
     "Packet",
-    "TransmissionResult",
     "TransportConfig",
     "add_parity",
     "deinterleave",
@@ -63,6 +36,5 @@ __all__ = [
     "packetize",
     "profile_for_loss",
     "recover_with_parity",
-    "split_at_startcodes",
     "transmit_stream",
 ]
