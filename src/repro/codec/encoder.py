@@ -79,6 +79,67 @@ from repro.video.yuv import MB_SIZE, YuvFrame
 #: Offsets of the four 8x8 luma blocks inside a macroblock, in block order.
 LUMA_BLOCK_OFFSETS = ((0, 0), (0, 8), (8, 0), (8, 8))
 
+#: Coded-block-pattern bit of each block (Y0..Y3, U, V).
+_CBP_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.int64)
+
+
+def _plane_prediction(blocks: np.ndarray, rows_per_mb: int, resync: bool):
+    """Adaptive DC/AC prediction over one plane's (H, W, 8, 8) block grid.
+
+    The whole-plane form of :meth:`AcDcPredictor.predict_with_direction
+    <repro.codec.predict.DcPredictor.predict_with_direction>` and
+    :meth:`~repro.codec.predict.AcDcPredictor.predict_ac` for an I-VOP,
+    where every earlier block is intra and stored unpredicted.  Left
+    neighbours exist from column 1 on; above neighbours from row 1 on,
+    and with ``resync`` only inside the same macroblock row
+    (``rows_per_mb`` block rows).  Unavailable neighbours read
+    ``DEFAULT_DC`` and a zero AC line.  Returns int64 ``(predicted_dc,
+    from_above, predicted_ac, actual_ac)``, the last two being the
+    predicted and the block's own first row (from above) or first column
+    (from the left).
+    """
+    height, width = blocks.shape[:2]
+    dc = blocks[:, :, 0, 0].astype(np.int64)
+    first_row = blocks[:, :, 0, 1:8].astype(np.int64)
+    first_col = blocks[:, :, 1:8, 0].astype(np.int64)
+    block_row = np.arange(height)[:, None]
+    has_left = np.broadcast_to(np.arange(width)[None, :] > 0, (height, width))
+    has_above = block_row > 0
+    if resync:
+        has_above = has_above & (block_row % rows_per_mb != 0)
+    has_above = np.broadcast_to(has_above, (height, width))
+    padded = np.full((height + 1, width + 1), DEFAULT_DC, dtype=np.int64)
+    padded[1:, 1:] = dc
+    left = np.where(has_left, padded[1:, :-1], DEFAULT_DC)
+    above = np.where(has_above, padded[:-1, 1:], DEFAULT_DC)
+    above_left = np.where(has_above & has_left, padded[:-1, :-1], DEFAULT_DC)
+    # Ties go left, as in predict_with_direction.
+    from_above = np.abs(above_left - left) < np.abs(above_left - above)
+    ac_above = np.zeros_like(first_row)
+    ac_above[1:] = first_row[:-1]
+    ac_left = np.zeros_like(first_col)
+    ac_left[:, 1:] = first_col[:, :-1]
+    from_above_line = from_above[..., None]
+    return (
+        np.where(from_above, above, left),
+        from_above,
+        np.where(
+            from_above_line,
+            ac_above * has_above[..., None],
+            ac_left * has_left[..., None],
+        ),
+        np.where(from_above_line, first_row, first_col),
+    )
+
+
+def _blocks_of_mbs(luma: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-plane block grids, (2 rows, 2 cols, ...) luma and (rows, cols,
+    ...) chroma, as one (rows, cols, 6, ...) array in macroblock block order."""
+    rows, cols = u.shape[:2]
+    tail = luma.shape[2:]
+    y = luma.reshape(rows, 2, cols, 2, *tail).swapaxes(1, 2).reshape(rows, cols, 4, *tail)
+    return np.concatenate([y, u[:, :, None], v[:, :, None]], axis=2)
+
 
 @dataclass
 class EncodedSequence:
@@ -609,19 +670,25 @@ class VopEncoder:
         levels = quantize_any(forward_dct(residual), qp, False, method)
         n_mbs = levels.shape[0]
         scanned = zigzag_scan(levels).reshape(n_mbs * 6, 64)
-        block_idx, lasts, runs, event_levels = run_level_arrays(scanned)
-        counts = np.bincount(block_idx, minlength=n_mbs * 6).reshape(n_mbs, 6)
-        weights = np.array([32, 16, 8, 4, 2, 1], dtype=np.int64)
-        cbp = ((counts > 0) * weights).sum(axis=1)
+        counts, payload = self._event_payload(scanned)
+        counts = counts.reshape(n_mbs, 6)
+        cbp = ((counts > 0) * _CBP_WEIGHTS).sum(axis=1)
         n_events = counts.sum(axis=1)
         starts = np.zeros(n_mbs + 1, dtype=np.int64)
         np.cumsum(n_events, out=starts[1:])
+        return cbp.tolist(), n_events.tolist(), starts.tolist(), payload, levels
+
+    def _event_payload(self, scanned: np.ndarray):
+        """Per-block event counts of (n_blocks, k) scanned levels, and the
+        :meth:`_write_block_events` payload of all their events."""
+        block_idx, lasts, runs, event_levels = run_level_arrays(scanned)
+        counts = np.bincount(block_idx, minlength=scanned.shape[0])
         if self.config.reversible_vlc:
             payload = ("rvlc", lasts.tolist(), runs.tolist(), event_levels.tolist())
         else:
             codes, lengths = vlc.coefficient_event_codes(lasts, runs, event_levels)
             payload = ("packed", codes.tolist(), lengths.tolist())
-        return cbp.tolist(), n_events.tolist(), starts.tolist(), payload, levels
+        return counts, payload
 
     @staticmethod
     def _write_block_events(
@@ -692,27 +759,101 @@ class VopEncoder:
             recon = self._recon_idct(dequantize_any(levels, qp, True, method))
             pixels = np.clip(np.rint(recon), 0, 255).astype(np.uint8)
             self._scatter_mb_pixels(recon_store, pixels)
-        state = {"dc_preds": self._make_dc_predictors()}
+        with obs.span("codec.encode.serialize"):
+            self._serialize_i_vop(writer, qp, levels, recon_store, vop_stats)
 
-        def on_row(row: int) -> None:
-            # Prediction must not cross video packets.
-            if config.resync_markers and row > 0:
-                state["dc_preds"] = self._make_dc_predictors()
+    def _serialize_i_vop(
+        self,
+        writer: BitWriter,
+        qp: int,
+        levels: np.ndarray,
+        recon_store: FrameStore | None,
+        vop_stats: VopStats,
+    ) -> None:
+        """Write a whole I-VOP from its quantized (rows, cols, 6, 8, 8) levels.
+
+        :meth:`_plan_intra_vop` predicts and VLC-preps every block at
+        once; each macroblock then writes its header, ``ac_pred`` bit, six
+        DC differences and event spans.  The bits, statistics and trace
+        hooks are those of :meth:`_serialize_intra_mb` run macroblock by
+        macroblock with per-packet predictors.  ``recon_store`` is read
+        only by the trace hook.
+        """
+        mb_cols = self.config.mb_cols
+        partitioned = self.config.data_partitioning
+        cbp, ac_pred, dc_deltas, n_events, starts, payload = self._plan_intra_vop(levels)
 
         def code_mb(writer, texture, row: int, col: int) -> None:
-            n_events = self._serialize_intra_mb(
-                writer, texture, levels[row, col], state["dc_preds"], row, col,
-                vop_stats, inter_allowed=False,
-            )
+            k = row * mb_cols + col
+            vlc.encode_macroblock_header(writer, True, False, cbp[k], False)
+            if not partitioned:
+                writer.write_bit(ac_pred[k])
+            for block in range(6 * k, 6 * k + 6):
+                writer.write_se(dc_deltas[block])
+                self._write_block_events(texture, payload, starts[block], starts[block + 1])
+            vop_stats.intra_mbs += 1
+            vop_stats.coded_coefficients += n_events[k]
             if self._rec is not None:
                 self._tk.mb_texture(
                     self._rec, "intra_enc", self._cur.fmap, recon_store.fmap,
-                    row * MB_SIZE, col * MB_SIZE,
-                    n_coded_blocks=6, n_events=n_events,
+                    row * MB_SIZE, col * MB_SIZE, n_coded_blocks=6, n_events=n_events[k],
                 )
 
-        with obs.span("codec.encode.serialize"):
-            self._serialize_rows(writer, qp, code_mb, on_row)
+        self._serialize_rows(writer, qp, code_mb)
+
+    def _plan_intra_vop(self, levels: np.ndarray):
+        """DC/AC prediction and VLC prep for every block of an I-VOP.
+
+        Prediction reads only the neighbours' *unpredicted* levels (the
+        predictors store ``levels``, not the coded values), so all of it
+        is known before serialization.  A neighbour is available when it
+        lies inside the grid and, with resync markers, in the same
+        macroblock row (a video packet starts fresh predictors).  Returns
+        per-MB lists ``cbp``, ``ac_pred`` and ``n_events`` (AC events plus
+        the six DC terms), per-block ``dc_deltas``, per-block event
+        offsets ``starts`` (``6 * n_mbs + 1``) and the payload for
+        :meth:`_write_block_events`.
+        """
+        config = self.config
+        rows, cols = levels.shape[:2]
+        resync = config.resync_markers
+        # Luma blocks on their (2 * rows, 2 * cols) grid; chroma on the MB grid.
+        luma = levels[:, :, :4].reshape(rows, cols, 2, 2, 8, 8).swapaxes(1, 2)
+        planes = (
+            _plane_prediction(luma.reshape(2 * rows, 2 * cols, 8, 8), 2, resync),
+            _plane_prediction(levels[:, :, 4], 1, resync),
+            _plane_prediction(levels[:, :, 5], 1, resync),
+        )
+        predicted_dc, from_above, predicted_ac, actual = (
+            _blocks_of_mbs(*field) for field in zip(*planes)
+        )
+        gain = (np.abs(actual).sum(axis=-1) - np.abs(actual - predicted_ac).sum(axis=-1)).sum(
+            axis=-1
+        )
+        if config.data_partitioning:
+            ac_pred = np.zeros((rows, cols), dtype=bool)
+        else:
+            ac_pred = gain > 0
+        coded = levels.copy()
+        subtract = np.where(ac_pred[:, :, None, None], predicted_ac, 0)
+        above = from_above[..., None]
+        coded[..., 0, 1:8] -= np.where(above, subtract, 0)
+        coded[..., 1:8, 0] -= np.where(above, 0, subtract)
+        n_blocks = rows * cols * 6
+        scanned = zigzag_scan(coded).reshape(n_blocks, 64)[:, 1:]
+        counts, payload = self._event_payload(scanned)
+        counts = counts.reshape(rows * cols, 6)
+        starts = np.zeros(n_blocks + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts[1:])
+        dc_deltas = levels[..., 0, 0].astype(np.int64) - predicted_dc
+        return (
+            ((counts > 0) * _CBP_WEIGHTS).sum(axis=1).tolist(),
+            ac_pred.ravel().astype(np.int64).tolist(),
+            dc_deltas.ravel().tolist(),
+            (counts.sum(axis=1) + 6).tolist(),
+            starts.tolist(),
+            payload,
+        )
 
     def _encode_p_vop_batched(
         self,

@@ -248,12 +248,12 @@ def build_workload_inputs(workload: Workload) -> list[VoInput]:
 def _finish_recording(recorder: TraceRecorder, capture: TraceCapture, encoded) -> RecordedTrace:
     """Freeze one codec run into a replayable recording.
 
-    Batches are run-collapsed once here, and their replay table built
-    once, so every machine replay (and every later cache hit) skips that
-    work.
+    The capture folds into one run-collapsed :class:`BatchTable` here,
+    once, and every machine replay, trace-cache entry and replay worker
+    reads that table's columns.
     """
     return RecordedTrace(
-        batches=BatchTable(batch.collapsed() for batch in capture.batches),
+        batches=capture.table(),
         scale=recorder.scale_factor(),
         footprint_bytes=recorder.space.footprint_bytes,
         encoded=encoded,

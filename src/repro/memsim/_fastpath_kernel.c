@@ -13,11 +13,12 @@
  *  - process_batch runs one batch.  Live sinks call it once per emitted
  *    batch; they have no table to hand over, and building one per batch
  *    would cost more than the call it saves.
- *  - replay_batches runs a whole recorded trace in one call.  Its batch
- *    table (repro.memsim.events.BatchTable, built once per recording)
- *    holds each batch's lines and counts addresses, size and kind; it
- *    returns per-batch accesses, misses, writebacks and TLB-miss deltas,
- *    which the Python side folds into its counters with NumPy.
+ *  - replay_batches runs a whole recorded trace in one call.  It reads
+ *    the flat columns of a repro.memsim.events.BatchTable (built once
+ *    per recording): every event's line and count back to back, each
+ *    batch's event offsets and its kind.  It returns per-batch accesses,
+ *    misses, writebacks and TLB-miss deltas, which the Python side folds
+ *    into its counters with NumPy.
  *
  * LRU equivalence: the reference keeps each set as a Python list ordered
  * cold-to-hot (append on touch, pop(0) to evict).  Here every touch writes
@@ -265,26 +266,27 @@ int64_t process_batch(const int64_t *lines, int64_t n, int64_t kind,
     return 0;
 }
 
-/* A whole recorded trace in one call.  table holds one row per batch,
- * in trace order; results gets one row per batch:
- *  table   (int64): 0 lines address  1 counts address  2 events  3 kind
+/* A whole recorded trace in one call, read from the columns of a
+ * repro.memsim.events.BatchTable.  Batch b owns events bounds[b] ..
+ * bounds[b + 1] - 1 of lines and counts and has kind kinds[b]; results
+ * gets one row per batch, in trace order:
  *  results (int64): 0 accesses  1 l1_misses  2 l2_misses
  *                   3 l1_writebacks  4 l2_writebacks  5 tlb_misses
  * tlb_misses is the batch's own delta of the carried TLB miss count. */
-int64_t replay_batches(const int64_t *table, int64_t n_batches, int64_t *ctx,
-                       int64_t *results)
+int64_t replay_batches(const int64_t *lines, const int64_t *counts,
+                       const int64_t *bounds, const int64_t *kinds,
+                       int64_t n_batches, int64_t *ctx, int64_t *results)
 {
     const int64_t *state = (const int64_t *)ctx[9];
     int64_t b, i;
     for (b = 0; b < n_batches; b++) {
-        const int64_t *row = table + 4 * b;
-        const int64_t *counts = (const int64_t *)row[1];
+        const int64_t start = bounds[b], stop = bounds[b + 1];
         int64_t *res = results + 6 * b;
         const int64_t tlb_before = state[3];
         int64_t accesses = 0;
-        for (i = 0; i < row[2]; i++)
+        for (i = start; i < stop; i++)
             accesses += counts[i];
-        run_batch((const int64_t *)row[0], row[2], row[3], ctx, res + 1);
+        run_batch(lines + start, stop - start, kinds[b], ctx, res + 1);
         res[0] = accesses;
         res[5] = state[3] - tlb_before;
     }

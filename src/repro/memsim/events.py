@@ -17,6 +17,11 @@ Batches carry a ``kind`` (read / write / prefetch), a ``phase`` label used
 for the paper's Table 8 burstiness breakdown, and the ALU instruction count
 of the kernel section that produced them (the timing model turns that into
 compute cycles).
+
+Live sinks take one :class:`AccessBatch` at a time.  A finished recording
+is a :class:`BatchTable`: its batches' run-collapsed events in flat
+columns, the one form the replay kernel, the ``.npz`` trace cache and a
+replay worker's pickle all read.
 """
 
 from __future__ import annotations
@@ -141,51 +146,167 @@ class AccessBatch:
         )
 
 
+#: Events a table build collapses per vectorized pass.
+CHUNK_EVENTS = 1 << 16
+
+
 class BatchTable(Sequence[AccessBatch]):
-    """A recorded trace: its batches plus the table a whole-trace replay reads.
+    """A recorded trace as seven flat columns.
 
-    Row ``i`` of ``rows`` holds batch ``i``'s lines address, counts
-    address, event count and kind -- what one C call needs to run the
-    whole trace (:meth:`FastMemoryHierarchy.replay`).  ``alu_ops`` and
-    ``phase_ids`` carry the rest of each batch; ``phase_names`` lists the
-    phases in order of first appearance and ``phase_ids`` indexes it.
+    - ``lines`` and ``counts``: every batch's events, back to back;
+    - ``bounds``: ``n + 1`` offsets, so batch ``i`` owns events
+      ``bounds[i]:bounds[i + 1]``;
+    - ``kinds`` and ``alu_ops``: one entry per batch;
+    - ``phase_ids`` and ``phase_names``: ``phase_names`` lists the phases
+      in order of first appearance and ``phase_ids`` indexes it.
 
-    Reading an array's address costs one to two microseconds from Python,
-    so build a table once per recording and replay it into every machine.
-    The table holds its batches, which keeps the addresses valid; treat
-    them as frozen.  It pickles as its batch list, so each process that
-    unpickles one reads the addresses of its own copies.
+    The whole-trace replay kernel (:meth:`FastMemoryHierarchy.replay
+    <repro.memsim.fastpath.FastMemoryHierarchy.replay>`) reads the
+    columns by offset; the ``.npz`` trace cache stores them and a pickle
+    carries them.  Indexing or iterating yields :class:`AccessBatch`
+    views, so anything that reads a batch list (the reference replay
+    loop, :class:`TraceStats`, live sinks) reads a table the same way.
+    Treat the columns as frozen.
+
+    Building a table from batches collapses each batch's runs
+    (:meth:`AccessBatch.collapsed` semantics) in one vectorized pass per
+    chunk of about :data:`CHUNK_EVENTS` events, written straight into the
+    preallocated columns, and lets go of each chunk's batches once they
+    are folded in: fed a draining iterator (:meth:`TraceCapture.table
+    <repro.trace.persistence.TraceCapture.table>`), the build never holds
+    a recording twice.
     """
 
-    __slots__ = ("_batches", "rows", "alu_ops", "phase_ids", "phase_names")
+    __slots__ = (
+        "lines", "counts", "bounds", "kinds", "alu_ops", "phase_ids", "phase_names",
+    )
 
     def __init__(self, batches: Iterable[AccessBatch] = ()) -> None:
-        self._batches = list(batches)
+        pending = list(batches)
+        n = len(pending)
         phase_index: dict[str, int] = {}
-        rows = []
-        alu_ops = []
-        phase_ids = []
-        for batch in self._batches:
-            rows.append((batch.lines.ctypes.data, batch.counts.ctypes.data,
-                         batch.lines.size, batch.kind))
-            alu_ops.append(batch.alu_ops)
-            phase_ids.append(phase_index.setdefault(batch.phase, len(phase_index)))
-        self.rows = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
-        self.alu_ops = np.array(alu_ops, dtype=np.int64)
-        self.phase_ids = np.array(phase_ids, dtype=np.int64)
+        sizes = np.fromiter((batch.lines.size for batch in pending), np.int64, n)
+        self.kinds = np.fromiter((batch.kind for batch in pending), np.int64, n)
+        self.alu_ops = np.fromiter((batch.alu_ops for batch in pending), np.int64, n)
+        self.phase_ids = np.fromiter(
+            (phase_index.setdefault(batch.phase, len(phase_index)) for batch in pending),
+            np.int64,
+            n,
+        )
         self.phase_names = list(phase_index)
+        ends = np.cumsum(sizes)
+        capacity = int(ends[-1]) if n else 0
+        # One allocation holds both event columns.  On the 720x576 cell
+        # the run's peak RSS then stays at ~150 MB; two allocations read
+        # 148 or 153 MB from one run to the next.
+        lines, counts = np.empty((2, capacity), dtype=np.int64)
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        filled = first = 0
+        while first < n:
+            # A chunk takes batches until it holds CHUNK_EVENTS events.
+            begin = int(ends[first] - sizes[first])
+            stop = min(int(np.searchsorted(ends, begin + CHUNK_EVENTS)) + 1, n)
+            chunk = pending[first:stop]
+            pending[first:stop] = [None] * (stop - first)
+            window = slice(filled, filled + int(ends[stop - 1]) - begin)
+            n_events, chunk_sizes = _collapse_into(
+                chunk, sizes[first:stop], lines[window], counts[window]
+            )
+            del chunk
+            np.cumsum(chunk_sizes, out=bounds[first + 1 : stop + 1])
+            bounds[first + 1 : stop + 1] += filled
+            filled += n_events
+            first = stop
+        self.lines = lines[:filled]
+        self.counts = counts[:filled]
+        self.bounds = bounds
+
+    @classmethod
+    def from_columns(
+        cls, lines, counts, bounds, kinds, alu_ops, phase_ids, phase_names
+    ) -> "BatchTable":
+        """A table over stored columns (a trace-cache entry), checked first.
+
+        The replay kernel trusts the offsets, so columns that do not
+        describe a trace raise :class:`ValueError` here.
+        """
+        table = cls.__new__(cls)
+        columns = (lines, counts, bounds, kinds, alu_ops, phase_ids)
+        for name, column in zip(cls.__slots__, columns):
+            setattr(table, name, np.ascontiguousarray(column, dtype=np.int64))
+        table.phase_names = [str(name) for name in phase_names]
+        n = table.kinds.size
+        if not (
+            table.lines.ndim == 1
+            and table.counts.shape == table.lines.shape
+            and table.bounds.shape == (n + 1,)
+            and table.alu_ops.shape == (n,)
+            and table.phase_ids.shape == (n,)
+            and table.bounds[0] == 0
+            and table.bounds[-1] == table.lines.size
+            and (np.diff(table.bounds) >= 0).all()
+            and np.isin(table.kinds, list(_KIND_NAMES)).all()
+            and ((table.phase_ids >= 0) & (table.phase_ids < len(table.phase_names))).all()
+        ):
+            raise ValueError("columns do not describe a batch table")
+        return table
 
     def __len__(self) -> int:
-        return len(self._batches)
+        return self.kinds.size
 
     def __getitem__(self, index):
-        return self._batches[index]
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        if not -n <= index < n:
+            raise IndexError("batch index out of range")
+        index %= n
+        start, stop = self.bounds[index : index + 2].tolist()
+        return AccessBatch(
+            int(self.kinds[index]),
+            self.lines[start:stop],
+            self.counts[start:stop],
+            phase=self.phase_names[self.phase_ids[index]],
+            alu_ops=int(self.alu_ops[index]),
+        )
 
     def __iter__(self) -> Iterator[AccessBatch]:
-        return iter(self._batches)
+        lines, counts, names = self.lines, self.counts, self.phase_names
+        bounds = self.bounds.tolist()
+        columns = zip(self.kinds.tolist(), self.alu_ops.tolist(), self.phase_ids.tolist())
+        for index, (kind, alu_ops, phase_id) in enumerate(columns):
+            start, stop = bounds[index], bounds[index + 1]
+            yield AccessBatch(
+                kind, lines[start:stop], counts[start:stop],
+                phase=names[phase_id], alu_ops=alu_ops,
+            )
 
-    def __reduce__(self):
-        return BatchTable, (self._batches,)
+
+def _collapse_into(batches: list[AccessBatch], sizes, lines, counts):
+    """Write a chunk of batches' events to ``lines``/``counts``, collapsed.
+
+    ``sizes`` holds the batches' event counts and the two output windows
+    their total.  One pass over the chunk: a run starts at every batch's
+    first event and wherever the granule changes, and a run's count is
+    the sum of its events' counts -- :meth:`AccessBatch.collapsed`, batch
+    by batch.  Runs are packed to the front of the windows; returns the
+    number of runs and each batch's run count.
+    """
+    np.concatenate([batch.lines for batch in batches], out=lines)
+    np.concatenate([batch.counts for batch in batches], out=counts)
+    run_start = np.ones(lines.size, dtype=bool)
+    np.not_equal(lines[1:], lines[:-1], out=run_start[1:])
+    firsts = np.cumsum(sizes) - sizes
+    run_start[firsts[sizes > 0]] = True
+    starts = np.flatnonzero(run_start)
+    if starts.size == lines.size:
+        return lines.size, sizes
+    runs_before = np.zeros(lines.size + 1, dtype=np.int64)
+    np.cumsum(run_start, out=runs_before[1:])
+    merged = np.add.reduceat(counts, starts)
+    lines[: starts.size] = lines[starts]
+    counts[: starts.size] = merged
+    return starts.size, runs_before[firsts + sizes] - runs_before[firsts]
 
 
 @dataclass

@@ -30,12 +30,12 @@ There are two ways in:
   more than it saves, so this path stays per batch.
 - :meth:`FastMemoryHierarchy.replay` takes a whole recorded trace as a
   :class:`~repro.memsim.events.BatchTable`: one ``replay_batches`` call
-  runs every batch and returns each batch's accesses, misses,
-  writebacks and TLB-miss delta, and a NumPy fold adds them to the
-  totals and phases.  The fold applies the :class:`TimingSpec` formulas
-  to arrays and adds the float clocks in trace order, so it matches a
-  ``process`` loop to the last bit; the study replays every machine
-  this way.
+  reads the table's flat columns (events, batch offsets, kinds), runs
+  every batch and returns each batch's accesses, misses, writebacks and
+  TLB-miss delta, and a NumPy fold adds them to the totals and phases.
+  The fold applies the :class:`TimingSpec` formulas to arrays and adds
+  the float clocks in trace order, so it matches a ``process`` loop to
+  the last bit; the study replays every machine this way.
 
 Why a compiled loop rather than pure-NumPy windowing?  Measured on real
 codec traces, run-length coalescing absorbs nearly all spatial locality
@@ -85,11 +85,11 @@ _kernel_tried = False
 def _load_kernel():
     """The compiled kernel library, or ``None``.
 
-    It exports ``process_batch`` (one batch) and ``replay_batches`` (a
-    whole :class:`~repro.memsim.events.BatchTable`).  Compilation/caching
-    is shared machinery (:mod:`repro.native.build`): libraries are cached
-    by source digest, so the build cost is paid once per kernel revision
-    per machine.
+    It exports ``process_batch`` (one batch) and ``replay_batches`` (the
+    columns of a whole :class:`~repro.memsim.events.BatchTable`).
+    Compilation/caching is shared machinery (:mod:`repro.native.build`):
+    libraries are cached by source digest, so the build cost is paid once
+    per kernel revision per machine.
     """
     global _kernel_lib, _kernel_tried
     if _kernel_tried:
@@ -102,7 +102,7 @@ def _load_kernel():
     # one ctx table so a call converts only four arguments.
     pointer, count = ctypes.c_void_p, ctypes.c_int64
     lib.process_batch.argtypes = [pointer, count, count, pointer]
-    lib.replay_batches.argtypes = [pointer, count, pointer, pointer]
+    lib.replay_batches.argtypes = [pointer] * 4 + [count, pointer, pointer]
     for fn in (lib.process_batch, lib.replay_batches):
         fn.restype = ctypes.c_int64
     _kernel_lib = lib
@@ -248,7 +248,9 @@ class FastMemoryHierarchy(MemoryHierarchy):
         table = batches if isinstance(batches, BatchTable) else BatchTable(batches)
         results = np.empty((len(table), 6), dtype=np.int64)
         self._replay_kernel(
-            table.rows.ctypes.data, len(table), self._ctx_ptr, results.ctypes.data
+            table.lines.ctypes.data, table.counts.ctypes.data,
+            table.bounds.ctypes.data, table.kinds.ctypes.data,
+            len(table), self._ctx_ptr, results.ctypes.data,
         )
         self._fold(table, results)
 
@@ -276,7 +278,7 @@ class FastMemoryHierarchy(MemoryHierarchy):
         order, from its current value, exactly as :meth:`process` does
         (a pairwise ``np.sum`` would move the last bits).
         """
-        kinds = table.rows[:, 3]
+        kinds = table.kinds
         accesses, l1_misses, l2_misses, l1_wb, l2_wb, tlb_misses = results.T
         is_read = kinds == KIND_READ
         is_write = kinds == KIND_WRITE

@@ -13,7 +13,16 @@ behaviour:
   of the same rectangle started at byte ``o``, and every byte count is
   the same.  :func:`_strided_lines` therefore keeps one read-only
   template per ``(o, stride, h, w)`` and adds ``start >> 5`` to it, and
-  the emitters of every macroblock share a handful of templates.
+  the emitters of every macroblock share a handful of templates.  The
+  per-macroblock emitters cache the rest of their geometry the same
+  way, each cache bounded and keyed on geometry, never on macroblock
+  coordinates: :func:`me_search` a window's runs, row map and column
+  weights per ``(o, stride, span)`` and its half-pel re-reads per read
+  total; :func:`mc_mb` and :func:`mb_texture` one Y/U/V template per
+  plane offsets, strides, block size and read multiplier; and
+  :func:`mb_texture` the scratch region's scaled runs per access total.
+  ``tests/trace/emitter_oracle.py`` keeps the direct computation as the
+  differential tests' oracle.
 
 - **Resident-set collapsed motion estimation.**  During one macroblock's
   full search, the 48x48 search window (~2.3 KB) and the current block
@@ -365,6 +374,7 @@ def me_search(
     drives the emission.  Emits the resident-set collapsed stream (module
     docstring): current block granules first, then window granules in
     raster order, each with its total access count over all candidates.
+    The window's geometry comes from :func:`_search_template`.
     """
     if not rec.active:
         return
@@ -372,6 +382,14 @@ def me_search(
     span = 2 * search_range + 1  # candidate positions per axis (unclamped)
     window = span + n - 1
     n_candidates = search.candidates_evaluated
+    plane = ref_fmap.y
+    y0 = BORDER + mb_y - search_range
+    x0 = BORDER + mb_x - search_range
+    start = plane.base + y0 * plane.stride + x0
+    offset = start & (GRANULE_BYTES - 1)
+    template_lines, row_of, column_weight, exhaustive_rows = _search_template(
+        offset, plane.stride, span
+    )
 
     if search.row_coverage is not None and search.row_coverage.size == window:
         row_weight = search.row_coverage
@@ -379,42 +397,12 @@ def me_search(
         cur_total = search.cur_reads + halfpel_evals * n * n
     else:
         # No work model: exhaustive search touches every candidate row.
-        row_weight = np.minimum.reduce(
-            [
-                np.arange(window, dtype=np.int64) + 1,
-                np.full(window, span, dtype=np.int64),
-                np.full(window, n, dtype=np.int64),
-                window - np.arange(window, dtype=np.int64),
-            ]
-        )
+        row_weight = exhaustive_rows
         ref_total = n_candidates * n * n
         cur_total = (n_candidates + halfpel_evals) * n * n
 
-    # Column-coverage weights: byte at window column c is read by
-    # cnt[c] = |{dx : dx <= c <= dx+15}| candidates along that axis.
-    col_coverage = np.minimum.reduce(
-        [
-            np.arange(window, dtype=np.int64) + 1,
-            np.full(window, span, dtype=np.int64),
-            np.full(window, n, dtype=np.int64),
-            window - np.arange(window, dtype=np.int64),
-        ]
-    )
-    y0 = BORDER + mb_y - search_range
-    x0 = BORDER + mb_x - search_range
-    lines, byte_counts = _strided_lines(ref_fmap.y.base, ref_fmap.y.stride, y0, x0, window, window)
     # Per-granule totals: row weight x column weight, normalized to the
-    # modelled read total.  Recover each event's (row, column-range) from
-    # the geometry.
-    starts = ref_fmap.y.base + (y0 + np.arange(window, dtype=np.int64)) * ref_fmap.y.stride + x0
-    g_first = starts >> GRANULE_SHIFT
-    g_last = (starts + window - 1) >> GRANULE_SHIFT
-    per_row = (g_last - g_first + 1).astype(np.int64)
-    row_of = np.repeat(np.arange(window, dtype=np.int64), per_row)
-    col_start = np.maximum((lines << GRANULE_SHIFT) - starts[row_of], 0)
-    col_end = col_start + byte_counts
-    coverage_cumulative = np.concatenate(([0], np.cumsum(col_coverage)))
-    column_weight = coverage_cumulative[col_end] - coverage_cumulative[col_start]
+    # modelled read total.
     weights = row_weight[row_of] * column_weight
     total_weight = int(weights.sum())
     if total_weight:
@@ -426,7 +414,7 @@ def me_search(
     # Half-pel refinement re-reads the winner's neighbourhood.
     halfpel_reads = halfpel_evals * n * n * 2
     if halfpel_reads:
-        ref_counts = ref_counts + _scaled_counts(lines, byte_counts, halfpel_reads)
+        ref_counts = ref_counts + _halfpel_counts(offset, plane.stride, span, halfpel_reads)
 
     cur_lines, cur_byte_counts = _strided_lines(
         cur_fmap.y.base, cur_fmap.y.stride, BORDER + mb_y, BORDER + mb_x, n, n
@@ -437,7 +425,53 @@ def me_search(
     alu = pixel_pairs * cm.SAD_ALU_PER_PIXEL + n_candidates * cm.ME_ALU_PER_CANDIDATE
     alu += halfpel_evals * n * n * cm.HALFPEL_ALU_PER_PIXEL
     rec.emit_read(cur_lines, cur_counts)
-    rec.emit_read(lines, ref_counts, alu_ops=alu)
+    rec.emit_read(template_lines + (start >> GRANULE_SHIFT), ref_counts, alu_ops=alu)
+
+
+@functools.lru_cache(maxsize=1024)
+def _search_template(offset: int, stride: int, span: int):
+    """Geometry of a motion-search window whose first byte is ``offset``.
+
+    The window is ``span + 15`` bytes square (``span`` candidates per
+    axis).  Returns read-only ``(lines, row_of, column_weight,
+    exhaustive_rows)``: the window's granule runs (shift by the start
+    granule), the window row of each run, each run's column weight (the
+    sum over its bytes of the candidates along a row that read the
+    byte), and the per-row weight of an exhaustive search.  All of it is
+    translation-invariant like :func:`_granule_template`, so every
+    macroblock's window shares one template.
+    """
+    n = MB_SIZE
+    window = span + n - 1
+    lines, byte_counts = _granule_template(offset, stride, window, window)
+    # Byte at window column c is read by
+    # |{dx : dx <= c <= dx + 15}| candidates along that axis; an
+    # exhaustive search weights window rows the same way.
+    positions = np.arange(window, dtype=np.int64)
+    coverage = np.minimum.reduce(
+        [positions + 1, np.full(window, span), np.full(window, n), window - positions]
+    )
+    starts = offset + positions * stride
+    per_row = ((starts + window - 1) >> GRANULE_SHIFT) - (starts >> GRANULE_SHIFT) + 1
+    row_of = np.repeat(positions, per_row)
+    col_start = np.maximum((lines << GRANULE_SHIFT) - starts[row_of], 0)
+    coverage_cumulative = np.concatenate(([0], np.cumsum(coverage)))
+    column_weight = (
+        coverage_cumulative[col_start + byte_counts] - coverage_cumulative[col_start]
+    )
+    for array in (row_of, column_weight, coverage):
+        array.flags.writeable = False
+    return lines, row_of, column_weight, coverage
+
+
+@functools.lru_cache(maxsize=1024)
+def _halfpel_counts(offset: int, stride: int, span: int, halfpel_reads: int):
+    """The half-pel refinement's re-reads spread over a search window."""
+    window = span + MB_SIZE - 1
+    lines, byte_counts = _granule_template(offset, stride, window, window)
+    counts = _scaled_counts(lines, byte_counts, halfpel_reads)
+    counts.flags.writeable = False
+    return counts
 
 
 def mc_mb(rec, ref_fmap: FrameMap, mb_y: int, mb_x: int, halfpel: int) -> None:
@@ -445,19 +479,7 @@ def mc_mb(rec, ref_fmap: FrameMap, mb_y: int, mb_x: int, halfpel: int) -> None:
     if not rec.active:
         return
     extra = 1 if halfpel & 1 else 0
-    reads_per_pixel = 2 if extra else 1
-    parts = []
-    for plane, y, x, size in (
-        (ref_fmap.y, mb_y, mb_x, MB_SIZE),
-        (ref_fmap.u, mb_y // 2, mb_x // 2, 8),
-        (ref_fmap.v, mb_y // 2, mb_x // 2, 8),
-    ):
-        lines, counts = _strided_lines(
-            plane.base, plane.stride, BORDER + y, BORDER + x, size + extra, size + extra
-        )
-        parts.append((lines, counts * reads_per_pixel))
-    lines = np.concatenate([p[0] for p in parts])
-    counts = np.concatenate([p[1] for p in parts])
+    lines, counts = _mb_lines(ref_fmap, mb_y, mb_x, extra, reads=2 if extra else 1)
     pixels = MB_SIZE * MB_SIZE + 2 * 64
     alu = pixels * (cm.MC_ALU_PER_PIXEL_HALF if extra else cm.MC_ALU_PER_PIXEL_FULL)
     rec.emit_read(lines, counts, alu_ops=alu)
@@ -486,13 +508,10 @@ def mb_texture(
         return
     encode = kind.endswith("enc")
     intra = kind.startswith("intra")
-    scratch = _scratch_region(rec)
-    s_lines, s_byte_counts = _sequential_lines(scratch.base, scratch.size)
 
     if encode and cur_fmap is not None:
         # Read the six source blocks (DCT input + residual computation).
-        lines, counts = _mb_lines(cur_fmap, mb_y, mb_x)
-        rec.emit_read(lines, counts * 2)
+        rec.emit_read(*_mb_lines(cur_fmap, mb_y, mb_x, reads=2))
 
     pipeline_blocks = 6 if encode else max(n_coded_blocks, 1)
     mb_pixels = MB_SIZE * MB_SIZE + 2 * 64
@@ -519,12 +538,12 @@ def mb_texture(
             + n_events * 2
             + mb_pixels * cm.DEC_PIPELINE_STORES_PER_PIXEL
         )
-    rec.emit_read(s_lines, _scaled_counts(s_lines, s_byte_counts, scratch_loads))
-    rec.emit_write(s_lines, _scaled_counts(s_lines, s_byte_counts, scratch_stores))
+    scratch = _scratch_region(rec)
+    rec.emit_read(*_scratch_runs(*scratch, scratch_loads))
+    rec.emit_write(*_scratch_runs(*scratch, scratch_stores))
 
     # Reconstruction write-back into the frame store.
-    lines, counts = _mb_lines(recon_fmap, mb_y, mb_x)
-    rec.emit_write(lines, counts)
+    rec.emit_write(*_mb_lines(recon_fmap, mb_y, mb_x))
 
     coeffs = 64 * pipeline_blocks
     alu = pipeline_blocks * cm.DCT_ALU_PER_BLOCK
@@ -546,29 +565,82 @@ def mb_texture(
     rec.emit_alu(alu)
 
 
-def _mb_lines(fmap: FrameMap, mb_y: int, mb_x: int):
+def _mb_lines(fmap: FrameMap, mb_y: int, mb_x: int, extra: int = 0, reads: int = 1):
+    """Granule runs of a macroblock's Y, U and V blocks, in that order.
+
+    Each block is ``extra`` pixels wider and taller than the macroblock's
+    (a half-pel fetch) and each count is multiplied by ``reads``.  The
+    runs come from :func:`_mb_template`, shifted by each plane's start
+    granule.
+    """
+    y, u, v = fmap.y, fmap.u, fmap.v
+    cy, cx = BORDER + mb_y // 2, BORDER + mb_x // 2
+    y_start = y.base + (BORDER + mb_y) * y.stride + BORDER + mb_x
+    u_start = u.base + cy * u.stride + cx
+    v_start = v.base + cy * v.stride + cx
+    mask = GRANULE_BYTES - 1
+    lines, counts, plane_of = _mb_template(
+        (y_start & mask, u_start & mask, v_start & mask),
+        (y.stride, u.stride, v.stride),
+        extra,
+        reads,
+    )
+    starts = np.array(
+        (y_start >> GRANULE_SHIFT, u_start >> GRANULE_SHIFT, v_start >> GRANULE_SHIFT)
+    )
+    return lines + starts[plane_of], counts
+
+
+@functools.lru_cache(maxsize=1024)
+def _mb_template(offsets: tuple, strides: tuple, extra: int, reads: int):
+    """Granule runs of a macroblock's three blocks (see :func:`_mb_lines`).
+
+    Keyed on each plane's start offset modulo 32 and stride: translation
+    invariance (module docstring) makes the runs of every macroblock with
+    that geometry these, each plane's shifted by its start granule.
+    Returns read-only ``(lines, counts, plane_of)``, ``plane_of`` naming
+    each run's plane (0, 1, 2).
+    """
     parts = [
-        _strided_lines(
-            fmap.y.base, fmap.y.stride, BORDER + mb_y, BORDER + mb_x, MB_SIZE, MB_SIZE
-        ),
-        _strided_lines(
-            fmap.u.base, fmap.u.stride, BORDER + mb_y // 2, BORDER + mb_x // 2, 8, 8
-        ),
-        _strided_lines(
-            fmap.v.base, fmap.v.stride, BORDER + mb_y // 2, BORDER + mb_x // 2, 8, 8
-        ),
+        _granule_template(offset, stride, size + extra, size + extra)
+        for offset, stride, size in zip(offsets, strides, (MB_SIZE, 8, 8))
     ]
-    lines = np.concatenate([p[0] for p in parts])
-    counts = np.concatenate([p[1] for p in parts])
+    lines = np.concatenate([part[0] for part in parts])
+    counts = np.concatenate([part[1] for part in parts]) * reads
+    plane_of = np.repeat(np.arange(3), [part[0].size for part in parts])
+    for array in (lines, counts, plane_of):
+        array.flags.writeable = False
+    return lines, counts, plane_of
+
+
+def _scratch_region(rec) -> tuple[int, int]:
+    """``(base, size)`` of the recorder's per-macroblock scratch region."""
+    region = rec.space.regions.get("scratch")
+    if region is None:
+        rec.map_linear("scratch", cm.SCRATCH_BYTES)
+        region = rec.space.regions["scratch"]
+    return region
+
+
+@functools.lru_cache(maxsize=4096)
+def _scratch_runs(base: int, size: int, total: int):
+    """The scratch region's granule runs carrying ``total`` accesses.
+
+    The region and the per-macroblock totals are constants of a
+    recorder, so macroblocks share these read-only arrays.
+    """
+    lines, byte_counts = _scratch_lines(base, size)
+    counts = _scaled_counts(lines, byte_counts, total)
+    counts.flags.writeable = False
     return lines, counts
 
 
-def _scratch_region(rec) -> LinearRegion:
-    region = rec.space.regions.get("scratch")
-    if region is None:
-        return rec.map_linear("scratch", cm.SCRATCH_BYTES)
-    base, size = region
-    return LinearRegion(name="scratch", base=base, size=size)
+@functools.lru_cache(maxsize=64)
+def _scratch_lines(base: int, size: int):
+    lines, counts = _sequential_lines(base, size)
+    lines.flags.writeable = False
+    counts.flags.writeable = False
+    return lines, counts
 
 
 # -- bitstream kernels ------------------------------------------------------------

@@ -16,23 +16,28 @@ what-if sweeps:
 
     replay_trace("encode-720p.npz", [machine.build_hierarchy()])
 
-The on-disk format is a single compressed ``.npz``: three flat arrays
-(granule, count, and a packed kind/phase/alu stream index) plus the batch
-boundaries and a phase-name table -- compact and portable.
+The on-disk format is a single compressed ``.npz`` holding the columns of
+a :class:`~repro.memsim.events.BatchTable` (format version 2): ``lines``
+and ``counts`` (every run-collapsed event, back to back), ``bounds``
+(``n + 1`` batch offsets), ``kinds``, ``alu_ops`` and ``phase_ids`` (one
+per batch), ``phase_names`` (in order of first appearance, as a string
+array) and ``version``.  Loading reads the arrays straight into a table.
 
 :class:`TraceCacheStore` persists recorded runs across processes.  Entries
 are keyed by a content fingerprint (see :func:`trace_fingerprint`) that
 hashes the workload definition, the direction, the sampling policy, the
 trace format version, the resolved codec knobs, and a digest of every
-Python and C source file that can change the emitted stream (codec,
-video synthesis, trace instrumentation, and the study driver) -- so
-editing any instrumented kernel automatically invalidates stale traces.
+Python and C source file that can change the recorded stream (codec,
+video synthesis, trace instrumentation, the study driver, the compiler
+prefetch model and the event/table layout) -- so editing any
+instrumented kernel automatically invalidates stale traces.
 Point ``REPRO_TRACE_CACHE`` at a directory to enable it (``repro
 --trace-cache`` from the CLI).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -54,14 +59,14 @@ from repro.core.runner.chaos import (
 from repro.ioutil import atomic_write
 from repro.memsim.events import AccessBatch, BatchTable
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Environment variable naming the trace-cache directory (unset = disabled).
 CACHE_ENV = "REPRO_TRACE_CACHE"
 
 
 class TraceCapture:
-    """A recorder sink that accumulates batches for saving."""
+    """A recorder sink that accumulates batches for saving or replay."""
 
     def __init__(self) -> None:
         self.batches: list[AccessBatch] = []
@@ -73,62 +78,45 @@ class TraceCapture:
     def n_events(self) -> int:
         return sum(batch.n_events for batch in self.batches)
 
+    def table(self) -> BatchTable:
+        """Fold the captured batches into a table, emptying the capture.
+
+        Each batch is let go as soon as the build has folded it in, so
+        the recording is never held twice.
+        """
+        batches, self.batches = self.batches, []
+        batches.reverse()
+        return BatchTable(batches.pop() for _ in range(len(batches)))
+
     def save(self, path: str | Path) -> None:
-        """Write all captured batches to a compressed ``.npz``."""
-        phases = sorted({batch.phase for batch in self.batches})
-        phase_index = {phase: i for i, phase in enumerate(phases)}
-        lines = (
-            np.concatenate([b.lines for b in self.batches])
-            if self.batches
-            else np.zeros(0, dtype=np.int64)
-        )
-        counts = (
-            np.concatenate([b.counts for b in self.batches])
-            if self.batches
-            else np.zeros(0, dtype=np.int64)
-        )
-        boundaries = np.cumsum([b.n_events for b in self.batches], dtype=np.int64)
-        kinds = np.array([b.kind for b in self.batches], dtype=np.int8)
-        batch_phases = np.array(
-            [phase_index[b.phase] for b in self.batches], dtype=np.int32
-        )
-        alu = np.array([b.alu_ops for b in self.batches], dtype=np.int64)
-        np.savez_compressed(
-            Path(path),
-            version=np.int64(FORMAT_VERSION),
-            lines=lines,
-            counts=counts,
-            boundaries=boundaries,
-            kinds=kinds,
-            phases=batch_phases,
-            alu=alu,
-            phase_names=np.array(phases, dtype=object),
-        )
+        """Write the captured batches, as one table, to a compressed ``.npz``."""
+        save_table(BatchTable(self.batches), path)
 
 
-def load_trace(path: str | Path):
-    """Yield the :class:`AccessBatch` stream stored at ``path``."""
-    with np.load(Path(path), allow_pickle=True) as archive:
+#: The ``.npz`` arrays of a saved :class:`~repro.memsim.events.BatchTable`.
+_COLUMNS = ("lines", "counts", "bounds", "kinds", "alu_ops", "phase_ids")
+
+
+def save_table(table: BatchTable, path: str | Path) -> None:
+    """Write a table's columns, and its phase names in order, to ``path``."""
+    np.savez_compressed(
+        Path(path),
+        version=np.int64(FORMAT_VERSION),
+        phase_names=np.array(table.phase_names, dtype=str),
+        **{name: getattr(table, name) for name in _COLUMNS},
+    )
+
+
+def load_trace(path: str | Path) -> BatchTable:
+    """The table saved at ``path`` (no Python object per batch)."""
+    with np.load(Path(path)) as archive:
         version = int(archive["version"])
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported trace format version {version}")
-        lines = archive["lines"]
-        counts = archive["counts"]
-        boundaries = archive["boundaries"]
-        kinds = archive["kinds"]
-        phases = archive["phases"]
-        alu = archive["alu"]
-        phase_names = list(archive["phase_names"])
-    start = 0
-    for index, end in enumerate(boundaries.tolist()):
-        yield AccessBatch(
-            int(kinds[index]),
-            lines[start:end],
-            counts[start:end],
-            phase=str(phase_names[int(phases[index])]),
-            alu_ops=int(alu[index]),
+        return BatchTable.from_columns(
+            *(archive[name] for name in _COLUMNS),
+            phase_names=archive["phase_names"].tolist(),
         )
-        start = end
 
 
 def replay_trace(path: str | Path, sinks) -> int:
@@ -177,7 +165,8 @@ class RecordedTrace:
     record time; ``encoded`` carries the bitstreams an encode run produced
     (empty for decode runs, whose input streams the caller already holds).
     ``batches`` is a :class:`~repro.memsim.events.BatchTable`, built once
-    per recording and replayed into every machine.
+    per recording and replayed into every machine; a batch list is
+    folded into one.
     """
 
     batches: BatchTable
@@ -185,31 +174,40 @@ class RecordedTrace:
     footprint_bytes: int
     encoded: list
 
-
-_source_digest_cache: str | None = None
-
-#: Source trees whose content determines the emitted event stream.
-_FINGERPRINTED_SOURCES = ("codec", "video", "trace", "core/study.py")
+    def __post_init__(self) -> None:
+        if not isinstance(self.batches, BatchTable):
+            self.batches = BatchTable(self.batches)
 
 
+#: Source trees whose content determines a recorded stream: the codec,
+#: video synthesis, the emitters, the study driver, the compiler prefetch
+#: model the emitters call, and the run collapse and stored layout.
+_FINGERPRINTED_SOURCES = (
+    "codec", "video", "trace", "core/study.py", "memsim/prefetch.py", "memsim/events.py",
+)
+
+
+def _digest_sources(package_root: Path) -> str:
+    """Digest of every source file under ``package_root`` that can change
+    a recorded trace."""
+    digest = hashlib.sha256()
+    for entry in _FINGERPRINTED_SOURCES:
+        path = package_root / entry
+        files = (
+            sorted(f for pattern in ("*.py", "*.c") for f in path.rglob(pattern))
+            if path.is_dir()
+            else [path]
+        )
+        for source in files:
+            digest.update(source.name.encode())
+            digest.update(source.read_bytes())
+    return digest.hexdigest()
+
+
+@functools.cache
 def _source_digest() -> str:
-    """Digest of every source file that can change a recorded trace."""
-    global _source_digest_cache
-    if _source_digest_cache is None:
-        package_root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
-        for entry in _FINGERPRINTED_SOURCES:
-            path = package_root / entry
-            files = (
-                sorted(f for pattern in ("*.py", "*.c") for f in path.rglob(pattern))
-                if path.is_dir()
-                else [path]
-            )
-            for source in files:
-                digest.update(source.name.encode())
-                digest.update(source.read_bytes())
-        _source_digest_cache = digest.hexdigest()
-    return _source_digest_cache
+    """:func:`_digest_sources` of this package, once per process."""
+    return _digest_sources(Path(__file__).resolve().parent.parent)
 
 
 def trace_fingerprint(workload, direction: str, sampling, input_digest: str = "") -> str:
@@ -309,7 +307,7 @@ class TraceCacheStore:
                     raise ValueError(
                         f"digest mismatch for {name}: {actual} != {digests[name]}"
                     )
-            batches = BatchTable(load_trace(entry / "trace.npz"))
+            batches = load_trace(entry / "trace.npz")
             with open(entry / "streams.pkl", "rb") as handle:
                 encoded = pickle.load(handle)
             scale = float(meta["scale"])
@@ -341,9 +339,7 @@ class TraceCacheStore:
             injector = chaos_from_env()
             if injector is not None:
                 injector.maybe_io_error(POINT_TRACE_STORE, key)
-            capture = TraceCapture()
-            capture.batches = recorded.batches
-            capture.save(staging / "trace.npz")
+            save_table(recorded.batches, staging / "trace.npz")
             with open(staging / "streams.pkl", "wb") as handle:
                 pickle.dump(recorded.encoded, handle)
             # meta.json is the entry's commit record (it carries the
@@ -355,7 +351,7 @@ class TraceCacheStore:
                 "scale": recorded.scale,
                 "footprint_bytes": recorded.footprint_bytes,
                 "n_batches": len(recorded.batches),
-                "n_events": capture.n_events,
+                "n_events": int(recorded.batches.lines.size),
                 "digests": {
                     name: _file_digest(staging / name)
                     for name in _DIGESTED_FILES

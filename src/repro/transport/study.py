@@ -157,7 +157,7 @@ def _traced_decode_counters(stream: bytes) -> dict:
     except BitstreamError:
         pass  # counters up to the rejection point are still meaningful
     hierarchy = _MACHINE.build_hierarchy()
-    hierarchy.replay(capture.batches)
+    hierarchy.replay(capture.table())
     return _counter_snapshot(hierarchy.total)
 
 

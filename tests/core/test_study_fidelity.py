@@ -45,6 +45,11 @@ def assert_results_identical(a, b):
         assert counters.clock == other.clock, machine
     assert a.scale == b.scale
     assert a.footprint_bytes == b.footprint_bytes
+    # Table 8's per-phase reports: the same phases, in the same order (the
+    # order a trace first entered them), and identical reports.
+    assert list(a.phase_reports) == list(b.phase_reports)
+    for phase, reports in a.phase_reports.items():
+        assert reports == b.phase_reports[phase], phase
 
 
 def run_cell(workload, direction, monkeypatch, engine, **kwargs):

@@ -60,6 +60,31 @@ class TestSaveLoad:
             capture.process(batch)
         assert capture.n_events == 4
 
+    def test_table_empties_the_capture(self):
+        capture = TraceCapture()
+        for batch in sample_batches():
+            capture.process(batch)
+        table = capture.table()
+        assert capture.batches == []
+        assert capture.n_events == 0
+        assert len(table) == 3
+        assert table.bounds.tolist() == [0, 3, 4, 4]
+        assert table.phase_names == ["me", "other"]
+
+    def test_save_keeps_the_batches_and_first_appearance_phases(self, tmp_path):
+        capture = TraceCapture()
+        for phase in ("vop_decode", "other", "vop_decode"):
+            capture.process(
+                AccessBatch(KIND_READ, np.array([5, 5, 6]), np.ones(3), phase=phase)
+            )
+        capture.save(tmp_path / "t.npz")
+        assert len(capture.batches) == 3
+        loaded = load_trace(tmp_path / "t.npz")
+        assert loaded.phase_names == ["vop_decode", "other"]
+        # The stored events are collapsed runs.
+        assert [b.lines.tolist() for b in loaded] == [[5, 6]] * 3
+        assert [b.counts.tolist() for b in loaded] == [[2, 1]] * 3
+
 
 class TestReplayEquivalence:
     def test_replay_matches_live_simulation(self, tmp_path):

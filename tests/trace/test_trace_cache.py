@@ -1,5 +1,8 @@
 """Unit tests for the content-fingerprinted trace cache."""
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,35 @@ class TestFingerprint:
         assert digest_streams([b"x"]) == digest_streams([b"x"])
         assert digest_streams([b"x"]) != digest_streams([b"y"])
 
+    @pytest.mark.parametrize(
+        "source", ["memsim/prefetch.py", "memsim/events.py", "codec/encoder.py",
+                   "trace/kernels.py", "core/study.py"],
+    )
+    def test_sources_that_shape_a_recording_are_fingerprinted(self, tmp_path, source):
+        """Editing the prefetch model or the event layout re-keys the cache."""
+        import repro
+        from repro.trace.persistence import _digest_sources
+
+        package = Path(repro.__file__).resolve().parent
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        before = _digest_sources(copy)
+        with open(copy / source, "a") as handle:
+            handle.write("\n# edited\n")
+        assert _digest_sources(copy) != before
+
+    def test_unrelated_sources_are_not_fingerprinted(self, tmp_path):
+        import repro
+        from repro.trace.persistence import _digest_sources
+
+        package = Path(repro.__file__).resolve().parent
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        before = _digest_sources(copy)
+        with open(copy / "service" / "abr.py", "a") as handle:
+            handle.write("\n# edited\n")
+        assert _digest_sources(copy) == before
+
 
 class TestTraceCacheStore:
     def test_roundtrip(self, tmp_path):
@@ -89,6 +121,20 @@ class TestTraceCacheStore:
             assert restored.alu_ops == original.alu_ops
             np.testing.assert_array_equal(restored.lines, original.lines)
             np.testing.assert_array_equal(restored.counts, original.counts)
+
+    def test_roundtrip_keeps_first_appearance_phase_order(self, tmp_path):
+        """Phases load in the order the trace first used them, not sorted."""
+        batches = [
+            AccessBatch(KIND_READ, np.array([1, 2]), np.array([1, 1]), phase="vop_decode"),
+            AccessBatch(KIND_WRITE, np.array([3]), np.array([2]), phase="other"),
+            AccessBatch(KIND_READ, np.array([4]), np.array([2]), phase="vop_decode"),
+        ]
+        store = TraceCacheStore(tmp_path)
+        store.store("k1", RecordedTrace(batches=batches, scale=1.0, footprint_bytes=1,
+                                        encoded=[]))
+        loaded = store.load("k1")
+        assert loaded.batches.phase_names == ["vop_decode", "other"]
+        assert [b.phase for b in loaded.batches] == ["vop_decode", "other", "vop_decode"]
 
     def test_miss_returns_none(self, tmp_path):
         assert TraceCacheStore(tmp_path).load("nothing") is None
