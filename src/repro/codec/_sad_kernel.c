@@ -28,6 +28,10 @@
  * sad_full_search() runs it over every macroblock of a padded plane,
  * one record of N_FIELDS int64 values per macroblock (field order
  * mirrored by repro.codec.batched).
+ *
+ * compensate_blocks() is the motion compensation of
+ * repro.codec.batched.compensate_many (motion.compensate per block): the
+ * same bilinear half-pel mix, for many blocks of one plane at once.
  */
 
 #include <stdint.h>
@@ -49,6 +53,20 @@ static inline int32_t row_sad(const uint8_t *a, const uint8_t *b)
     return s;
 }
 
+/* Pixel x of the bilinear half-pel prediction from source row a (and b,
+ * the row below it, when ry is set), as motion.compensate rounds it. */
+static inline int32_t halfpel_mix(const uint8_t *a, const uint8_t *b,
+                                  int64_t x, int rx, int ry)
+{
+    if (rx && ry)
+        return (a[x] + a[x + 1] + b[x] + b[x + 1] + 2) >> 2;
+    if (rx)
+        return (a[x] + a[x + 1] + 1) >> 1;
+    if (ry)
+        return (a[x] + b[x] + 1) >> 1;
+    return a[x];
+}
+
 /* SAD of the bilinear half-pel prediction whose top-left source pixel is
  * p against the current block; stops once it exceeds limit. */
 static int32_t halfpel_sad(const uint8_t *p, const uint8_t *cb,
@@ -59,14 +77,7 @@ static int32_t halfpel_sad(const uint8_t *p, const uint8_t *cb,
         const uint8_t *a = p + y * stride, *b = a + (ry ? stride : 0);
         const uint8_t *c = cb + y * stride;
         for (int x = 0; x < N; x++) {
-            int32_t pred;
-            if (rx && ry)
-                pred = (a[x] + a[x + 1] + b[x] + b[x + 1] + 2) >> 2;
-            else if (rx)
-                pred = (a[x] + a[x + 1] + 1) >> 1;
-            else
-                pred = (a[x] + b[x] + 1) >> 1;
-            int32_t d = pred - (int32_t)c[x];
+            int32_t d = halfpel_mix(a, b, x, rx, ry) - (int32_t)c[x];
             s += d < 0 ? -d : d;
         }
         if (s > limit)
@@ -186,6 +197,25 @@ void sad_full_search(
                       border + mr * N, border + mc * N, range,
                       (int32_t)zero_bias, (int)half_pel, out + i * N_FIELDS,
                       coverage + i * cover_stride);
+        }
+    }
+}
+
+/* Motion-compensated prediction of n size x size blocks of one plane:
+ * block i reads from source origin (src_y[i], src_x[i]) at half-pel
+ * phase (ry[i], rx[i]); the caller has checked that every source lies
+ * inside the plane.  out holds n blocks back to back. */
+void compensate_blocks(
+    const uint8_t *plane, int64_t stride, int64_t n, int64_t size,
+    const int64_t *src_y, const int64_t *src_x, const int64_t *ry,
+    const int64_t *rx, uint8_t *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const uint8_t *a = plane + src_y[i] * stride + src_x[i];
+        for (int64_t y = 0; y < size; y++, a += stride, out += size) {
+            const uint8_t *b = ry[i] ? a + stride : a;
+            for (int64_t x = 0; x < size; x++)
+                out[x] = (uint8_t)halfpel_mix(a, b, x, (int)rx[i], (int)ry[i]);
         }
     }
 }

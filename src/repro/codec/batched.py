@@ -22,47 +22,60 @@ This module lifts the pixel-level hot paths to whole-VOP granularity:
 - :func:`gather_plane_blocks` / :func:`scatter_plane_blocks`: plane <->
   ``(rows, cols, n, n)`` block-tensor reshapes.
 - :func:`intra_decisions`: the VM intra/inter mode decision for all MBs.
+- :class:`MacroblockRows`: a VOP's parsed macroblock rows as dense
+  arrays, each row parsed in one call to ``_parse_kernel.c`` when it
+  can be; the decoder's ``_parse_mb_row`` stays the parser of record and
+  re-parses any row the kernel hands back.
 
 Everything here is bit-exact with the per-macroblock reference functions
-in :mod:`repro.codec.motion` (enforced by
-``tests/codec/test_batched_kernels.py`` and
-``tests/codec/test_search_kernel.py``); the scan order and tie-breaking
+in :mod:`repro.codec.motion` and :mod:`repro.codec.decoder` (enforced by
+``tests/codec/test_batched_kernels.py``,
+``tests/codec/test_search_kernel.py`` and
+``tests/codec/test_parse_kernel.py``); the scan order and tie-breaking
 of the scalar loops are replicated exactly.
 """
 
 from __future__ import annotations
 
 import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.codec import vlc
 from repro.codec.motion import ZERO_MV_BIAS, MotionVector, SearchResult
+from repro.codec.predict import DEFAULT_DC
+from repro.codec.quant import ZIGZAG
+from repro.codec.types import VopType
 from repro.native.build import load_library
 from repro.video.yuv import MB_SIZE
 
 _SAD_KERNEL_SOURCE = Path(__file__).with_name("_sad_kernel.c")
 
-_sad_fn = None
+_sad_lib = None
 _sad_tried = False
 
 
 def _load_sad_kernel():
-    """The compiled ``sad_full_search`` entry point, or ``None``."""
-    global _sad_fn, _sad_tried
+    """The compiled plane kernel (``sad_full_search`` and
+    ``compensate_blocks``), or ``None``."""
+    global _sad_lib, _sad_tried
     if _sad_tried:
-        return _sad_fn
+        return _sad_lib
     _sad_tried = True
     lib = load_library(_SAD_KERNEL_SOURCE, "sadsearch")
     if lib is None:
         return None
-    fn = lib.sad_full_search
-    fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 9 + [ctypes.c_void_p] * 2
-    fn.restype = None
-    _sad_fn = fn
-    return fn
+    pointer, count = ctypes.c_void_p, ctypes.c_int64
+    lib.sad_full_search.argtypes = [pointer] * 2 + [count] * 9 + [pointer] * 2
+    lib.compensate_blocks.argtypes = [pointer] + [count] * 3 + [pointer] * 5
+    for fn in (lib.sad_full_search, lib.compensate_blocks):
+        fn.restype = None
+    _sad_lib = lib
+    return lib
 
 
 def sad_kernel_available() -> bool:
@@ -155,8 +168,8 @@ def search_plane(
     :func:`repro.codec.motion.half_pel_refine`.  Returns None when the
     kernel is unavailable.
     """
-    kernel = _load_sad_kernel()
-    if kernel is None:
+    lib = _load_sad_kernel()
+    if lib is None:
         return None
     if reference.shape != current.shape or reference.ndim != 2:
         raise ValueError("reference and current must be planes of one shape")
@@ -171,7 +184,7 @@ def search_plane(
     current = np.ascontiguousarray(current, dtype=np.uint8)
     records = np.empty((mb_rows, mb_cols, _RECORD_FIELDS), dtype=np.int64)
     coverage = np.zeros((mb_rows, mb_cols, 2 * search_range + MB_SIZE), dtype=np.int64)
-    kernel(
+    lib.sad_full_search(
         reference.ctypes.data,
         current.ctypes.data,
         reference.strides[0],
@@ -357,14 +370,17 @@ def compensate_many(
 
     ``ys``/``xs`` are block origins in the *current* frame (flat arrays),
     ``mv_dx``/``mv_dy`` the per-block displacements in half-pel units.
-    Bit-exact with :func:`repro.codec.motion.compensate` per block; the
-    blocks are grouped by half-pel phase so each group is one fancy-index
-    gather plus one vectorized bilinear mix.
+    Bit-exact with :func:`repro.codec.motion.compensate` per block.  The
+    plane kernel's ``compensate_blocks`` mixes every block in one call;
+    without it the blocks are grouped by half-pel phase so each group is
+    one fancy-index gather plus one vectorized bilinear mix.
     """
     ys = np.asarray(ys, dtype=np.int64)
     xs = np.asarray(xs, dtype=np.int64)
     mv_dx = np.asarray(mv_dx, dtype=np.int64)
     mv_dy = np.asarray(mv_dy, dtype=np.int64)
+    if ys.ndim != 1 or not ys.shape == xs.shape == mv_dx.shape == mv_dy.shape:
+        raise ValueError("origins and displacements must be flat, of one length")
     height, width = reference.shape
     fx, rxs = mv_dx >> 1, mv_dx & 1
     fy, rys = mv_dy >> 1, mv_dy & 1
@@ -380,6 +396,15 @@ def compensate_many(
     ):
         raise ValueError("compensation source escapes reference plane")
     out = np.empty((ys.size, size, size), dtype=np.uint8)
+    lib = _load_sad_kernel()
+    if lib is not None:
+        reference = np.ascontiguousarray(reference, dtype=np.uint8)
+        lib.compensate_blocks(
+            reference.ctypes.data, reference.strides[0], ys.size, size,
+            src_y.ctypes.data, src_x.ctypes.data, rys.ctypes.data,
+            rxs.ctypes.data, out.ctypes.data,
+        )
+        return out
     ar = np.arange(size + 1, dtype=np.int64)
     for ry in (0, 1):
         for rx in (0, 1):
@@ -490,3 +515,205 @@ def intra_decisions(cur_blocks: np.ndarray, inter_sads: np.ndarray) -> np.ndarra
     means = sums // (MB_SIZE * MB_SIZE)
     deviation = np.abs(pixels - means[:, :, None, None]).sum(axis=(2, 3))
     return deviation < inter_sads - 2 * MB_SIZE * MB_SIZE
+
+
+# -- macroblock-row parse -----------------------------------------------------
+
+_PARSE_KERNEL_SOURCE = Path(__file__).with_name("_parse_kernel.c")
+
+_parse_fn = None
+_parse_tables = None
+_parse_tried = False
+
+
+def _load_parse_kernel():
+    """The compiled ``parse_mb_row`` entry point, or ``None``."""
+    global _parse_fn, _parse_tables, _parse_tried
+    if _parse_tried:
+        return _parse_fn
+    _parse_tried = True
+    lib = load_library(_PARSE_KERNEL_SOURCE, "mbparse")
+    if lib is None:
+        return None
+    fn = lib.parse_mb_row
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
+    fn.restype = ctypes.c_int64
+    # The kernel's symbol codes (see _parse_kernel.c).
+    _parse_tables = (
+        vlc.MCBPC_TABLE.node_array(lambda symbol: 4 * symbol[0] + symbol[1]),
+        vlc.CBPY_TABLE.node_array(int),
+        vlc.COEFF_TABLE.node_array(
+            lambda symbol: 0 if symbol == vlc.ESCAPE
+            else symbol[0] << 12 | symbol[1] << 6 | symbol[2]
+        ),
+        ZIGZAG.astype(np.int64),
+    )
+    _parse_fn = fn
+    return fn
+
+
+def parse_kernel_available() -> bool:
+    """True when the compiled macroblock-row parser can be used."""
+    return _load_parse_kernel() is not None
+
+
+#: Kinds of a parsed macroblock.
+KIND_SKIPPED, KIND_INTRA, KIND_INTER = range(3)
+
+#: Fields of a parsed macroblock's int64 record (the parse kernel's
+#: layout): kind, coded-block pattern, coefficient events, then the
+#: forward and the backward vector, each as (present, dx, dy).
+(
+    F_KIND, F_CBP, F_N_EVENTS, F_FWD, F_FWD_DX, F_FWD_DY, F_BWD, F_BWD_DX, F_BWD_DY,
+) = range(9)
+N_FIELDS = 9
+
+#: Slots of the parse kernel's per-VOP context table (see _parse_kernel.c).
+(
+    _C_DATA, _C_N_BITS, _C_VOP_TYPE, _C_MB_COLS, _C_CROSS_ROW,
+    _C_MCBPC, _C_CBPY, _C_COEFF, _C_RASTER,
+    _C_ESC_RUN_BITS, _C_ESC_LEVEL_BITS, _C_DEFAULT_DC,
+    _C_INFO, _C_LEVELS, _C_GRID, _C_BORDER,
+) = range(16)
+_C_PAST, _C_FUTURE, _C_PRED = 16, 20, 24
+_N_CTX = 36
+
+
+class MacroblockRows:
+    """The parsed macroblock rows of one VOP, as dense arrays.
+
+    ``info[row, col]`` is a macroblock's int64 record (the ``F_*``
+    fields) and ``levels[row, col]`` its six blocks of quantized levels
+    in raster order: an intra macroblock's DCs and ACs with prediction
+    resolved, an inter macroblock's coded blocks, zeros elsewhere.
+
+    :meth:`parse` fills a row in one call to the C parser when it is
+    available.  The decoder's Python parser fills the rows it hands back
+    (:meth:`python_row` and :meth:`pack`).  For P-VOP vector prediction
+    the kernel keeps its own int64 ``(rows, cols, 2)`` grid, which
+    :meth:`python_row` keeps equal to the decoder's ``MotionVector``
+    grid wherever the Python parser reads it.
+    """
+
+    def __init__(
+        self,
+        data,
+        vop_type: VopType,
+        mb_rows: int,
+        mb_cols: int,
+        cross_row: bool,
+        past,
+        future,
+        border: int,
+    ) -> None:
+        self.info = np.zeros((mb_rows, mb_cols, N_FIELDS), dtype=np.int64)
+        self.levels = np.zeros((mb_rows, mb_cols, 6, 64), dtype=np.int32)
+        self._kernel = _load_parse_kernel()
+        self.mv_grid = None
+        if self._kernel is None:
+            return
+        if vop_type is not VopType.I:
+            self.mv_grid = np.zeros((mb_rows, mb_cols, 2), dtype=np.int64)
+        # The context holds raw addresses: keep every array they point into.
+        self._buffer = np.frombuffer(data, dtype=np.uint8)
+        self._predictors = None
+        ctx = np.zeros(_N_CTX, dtype=np.int64)
+        mcbpc, cbpy, coeff, raster = _parse_tables
+        ctx[_C_DATA] = self._buffer.ctypes.data
+        ctx[_C_N_BITS] = self._buffer.size * 8
+        ctx[_C_VOP_TYPE] = vop_type
+        ctx[_C_MB_COLS] = mb_cols
+        ctx[_C_CROSS_ROW] = cross_row
+        ctx[_C_MCBPC] = mcbpc.ctypes.data
+        ctx[_C_CBPY] = cbpy.ctypes.data
+        ctx[_C_COEFF] = coeff.ctypes.data
+        ctx[_C_RASTER] = raster.ctypes.data
+        ctx[_C_ESC_RUN_BITS] = vlc.ESCAPE_RUN_BITS
+        ctx[_C_ESC_LEVEL_BITS] = vlc.ESCAPE_LEVEL_BITS
+        ctx[_C_DEFAULT_DC] = DEFAULT_DC
+        ctx[_C_INFO] = self.info.ctypes.data
+        ctx[_C_LEVELS] = self.levels.ctypes.data
+        ctx[_C_GRID] = 0 if self.mv_grid is None else self.mv_grid.ctypes.data
+        ctx[_C_BORDER] = border
+        for slot, store in ((_C_PAST, past), (_C_FUTURE, future)):
+            ctx[slot : slot + 4] = -1 if store is None else store.y.shape + store.u.shape
+        self._ctx = ctx
+        self._ctx_address = ctx.ctypes.data
+
+    def parse(self, reader, row: int, predictors) -> bool:
+        """Parse macroblock row ``row`` from the reader's position.
+
+        ``predictors`` map an I-VOP's ``"y"``, ``"u"`` and ``"v"`` to
+        their :class:`~repro.codec.predict.AcDcPredictor`, which the
+        kernel reads and updates in place (None in P- and B-VOPs).
+        True when the kernel parsed the row and moved the reader past
+        it; False, with the reader untouched, when there is no kernel or
+        it handed the row back.
+        """
+        if self._kernel is None:
+            return False
+        if predictors is not self._predictors:
+            self._predictors = predictors
+            if predictors is not None:
+                self._ctx[_C_PRED:] = [
+                    array.ctypes.data
+                    for plane in "yuv"
+                    for array in predictors[plane].arrays()
+                ]
+        end = self._kernel(self._ctx_address, reader.bit_position, row)
+        if end < 0:
+            return False
+        reader.seek_bits(end)
+        return True
+
+    @contextmanager
+    def python_row(self, row: int, mv_grid):
+        """Clear row ``row`` for the Python parser and, around it, carry
+        the vector grid rows it reads between the kernel's grid and
+        ``mv_grid``."""
+        self.info[row] = 0
+        self.levels[row] = 0
+        if self.mv_grid is None:
+            yield
+            return
+        for above in (row - 1, row):
+            if above >= 0:
+                mv_grid[above] = [
+                    MotionVector(dx, dy) for dx, dy in self.mv_grid[above].tolist()
+                ]
+        try:
+            yield
+        finally:
+            self.mv_grid[row] = [(mv.dx, mv.dy) for mv in mv_grid[row]]
+
+    def pack(self, row: int, col: int, record, cbp: int, n_events: int) -> None:
+        """Store one macroblock as the decoder's parser yields it."""
+        residual, past_mv, future_mv = record
+        if residual is None:
+            kind = KIND_SKIPPED
+        elif past_mv is None and future_mv is None:
+            kind = KIND_INTRA
+            self.levels[row, col] = residual.reshape(6, 64)
+        else:
+            kind = KIND_INTER
+            for index, rasters, values in residual:
+                self.levels[row, col, index, rasters] = values
+        self.info[row, col] = (
+            kind, cbp, n_events,
+            *((0, 0, 0) if past_mv is None else (1, past_mv.dx, past_mv.dy)),
+            *((0, 0, 0) if future_mv is None else (1, future_mv.dx, future_mv.dy)),
+        )
+
+    def records(self, row: int):
+        """Row ``row`` as the decoder's parser yields it: ``(col,
+        (residual, past_mv, future_mv), cbp, n_events)``, the residual
+        being the macroblock's levels (None when skipped)."""
+        for col, (kind, cbp, n_events, fwd, fdx, fdy, bwd, bdx, bdy) in enumerate(
+            self.info[row].tolist()
+        ):
+            record = (
+                None if kind == KIND_SKIPPED else self.levels[row, col],
+                MotionVector(fdx, fdy) if fwd else None,
+                MotionVector(bdx, bdy) if bwd else None,
+            )
+            yield col, record, cbp, n_events

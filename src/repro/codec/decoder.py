@@ -29,7 +29,21 @@ from repro.codec.bitstream import (
     BitReader,
     ReverseBitReader,
 )
-from repro.codec.batched import predict_many
+from repro.codec.batched import (
+    F_BWD,
+    F_BWD_DX,
+    F_BWD_DY,
+    F_CBP,
+    F_FWD,
+    F_FWD_DX,
+    F_FWD_DY,
+    F_KIND,
+    F_N_EVENTS,
+    KIND_INTER,
+    KIND_INTRA,
+    MacroblockRows,
+    predict_many,
+)
 from repro.codec.dct import inverse_dct
 from repro.codec.encoder import LUMA_BLOCK_OFFSETS
 from repro.codec.engine import ENGINE_BATCHED, IDCT_FIXED, codec_engine, codec_idct
@@ -406,13 +420,15 @@ class VopDecoder:
     def _decode_macroblocks(
         self, reader, vop_type, qp, mask, past, future, recon_store, vop_stats
     ) -> None:
-        # Every path parses through :meth:`_parse_mb_row`.  The batched
-        # engine reconstructs the parsed rows of a VOP together; the
-        # reference engine and arbitrary-shape VOPs rebuild each macroblock
-        # as soon as it is parsed, and data-partitioned packets once their
-        # texture partition is read.  Data-partitioned packets share the
-        # configured reconstruction IDCT so fixed-point streams stay
-        # drift-free with the encoder.
+        # :meth:`_parse_mb_row` is the parser of record.  The batched
+        # engine parses each row of a rectangular, non-partitioned VOP in
+        # one kernel call when it can, falls back to the parser of record
+        # for every row the kernel hands back, and reconstructs the parsed
+        # rows of a VOP together; the reference engine and arbitrary-shape
+        # VOPs rebuild each macroblock as soon as it is parsed, and
+        # data-partitioned packets once their texture partition is read.
+        # Data-partitioned packets share the configured reconstruction
+        # IDCT so fixed-point streams stay drift-free with the encoder.
         batched = codec_engine() == ENGINE_BATCHED and mask is None
         self._recon_idct = (
             inverse_dct_fixed if batched and codec_idct() == IDCT_FIXED else inverse_dct
@@ -427,11 +443,18 @@ class VopDecoder:
             VOP_BIT_BUDGET_FLOOR, VOP_BITS_PER_PIXEL_BUDGET * self.width * self.height
         )
         iteration_budget = 4 * mb_rows + 4
-        # Batched rows are parsed here and reconstructed together when the
-        # row loop ends.  A P-VOP whose (damaged) display index makes it
-        # predict from its own store must see each row land before the
-        # next one is predicted, so it reconstructs row by row instead.
-        pending: dict[int, tuple[int, list]] = {}
+        # Batched rows are parsed into ``parsed`` here, and the ``pending``
+        # ones (row -> qp) are reconstructed together when the row loop
+        # ends.  A P-VOP whose (damaged) display index makes it predict
+        # from its own store must see each row land before the next one
+        # is predicted, so it reconstructs row by row instead.
+        parsed = None
+        if batched_rows:
+            parsed = MacroblockRows(
+                reader.data, vop_type, mb_rows, mb_cols, not self.resync_markers,
+                past, future, BORDER,
+            )
+        pending: dict[int, int] = {}
         row_by_row = recon_store is past or recon_store is future
 
         def lose(lost_row: int) -> None:
@@ -447,7 +470,7 @@ class VopDecoder:
             if iteration_budget < 0 or reader.bit_position - bits_start > bit_budget:
                 # The VOP is abandoned, but the rows it decoded stay in the
                 # store, and later VOPs may still reference it.
-                self._reconstruct_rows(pending, past, future, recon_store)
+                self._reconstruct_rows(pending, parsed, past, future, recon_store)
                 raise DecodeBudgetExceededError(
                     f"per-VOP decode budget exhausted at row {row}",
                     bit_position=reader.bit_position,
@@ -476,19 +499,16 @@ class VopDecoder:
                             vop_stats, dc_preds, mv_grid, row,
                         )
                 elif batched_rows:
-                    records = []
                     with obs.span("codec.decode.vlc_parse", row=row):
-                        for col, record, cbp, n_events in self._parse_mb_row(
-                            reader, vop_type, dc_preds, mv_grid, row, None, vop_stats
-                        ):
-                            self._check_predictions(record, past, future, row, col)
-                            self._count_mb(
-                                vop_stats, record, cbp, n_events, recon_store, row, col
-                            )
-                            records.append(record)
-                    pending[row] = (qp, records)
+                        self._parse_row(
+                            reader, vop_type, dc_preds, mv_grid, row, past, future,
+                            recon_store, vop_stats, parsed,
+                        )
+                    pending[row] = qp
                     if row_by_row:
-                        self._reconstruct_rows(pending, past, future, recon_store)
+                        self._reconstruct_rows(
+                            pending, parsed, past, future, recon_store
+                        )
                 else:
                     with obs.span("codec.decode.mb_row", row=row):
                         for col, record, cbp, n_events in self._parse_mb_row(
@@ -518,7 +538,47 @@ class VopDecoder:
                 row = next_row
                 continue
             row += 1
-        self._reconstruct_rows(pending, past, future, recon_store)
+        self._reconstruct_rows(pending, parsed, past, future, recon_store)
+
+    def _parse_row(
+        self, reader, vop_type, dc_preds, mv_grid, row, past, future,
+        recon_store, vop_stats, parsed,
+    ) -> None:
+        """Parse one macroblock row into ``parsed``, checking and counting
+        each macroblock as the other paths do.
+
+        The kernel parses the row in one call when it can.  Otherwise,
+        and whenever the kernel hands the row back,
+        :meth:`_parse_mb_row` parses it from the row's first bit, so
+        every error, its bit position, the statistics of a partial row and
+        the trace hooks come from the parser of record.
+        """
+        if parsed.parse(reader, row, dc_preds):
+            if self._rec is None:
+                info = parsed.info[row]
+                skipped, intra, inter = np.bincount(
+                    info[:, F_KIND], minlength=3
+                ).tolist()
+                vop_stats.skipped_mbs += skipped
+                vop_stats.intra_mbs += intra
+                vop_stats.inter_mbs += inter
+                vop_stats.coded_coefficients += int(info[:, F_N_EVENTS].sum())
+                return
+            for col, record, cbp, n_events in parsed.records(row):
+                self._check_predictions(record, past, future, row, col)
+                self._count_mb(
+                    vop_stats, record, cbp, n_events, recon_store, row, col
+                )
+            return
+        with parsed.python_row(row, mv_grid):
+            for col, record, cbp, n_events in self._parse_mb_row(
+                reader, vop_type, dc_preds, mv_grid, row, None, vop_stats
+            ):
+                self._check_predictions(record, past, future, row, col)
+                self._count_mb(
+                    vop_stats, record, cbp, n_events, recon_store, row, col
+                )
+                parsed.pack(row, col, record, cbp, n_events)
 
     def _parse_mb_row(self, reader, vop_type, dc_preds, mv_grid, row, mask, vop_stats):
         """Parse one macroblock row, yielding each macroblock as it is read.
@@ -718,91 +778,78 @@ class VopDecoder:
             pixels[:, 5].transpose(1, 0, 2).reshape(8, mb_cols * 8)
         )
 
-    def _reconstruct_rows(self, pending, past, future, recon_store) -> None:
-        """Reconstruct parsed rows in one pass, emptying ``pending``.
+    def _reconstruct_rows(self, pending, parsed, past, future, recon_store) -> None:
+        """Reconstruct the pending rows of ``parsed`` in one pass,
+        emptying ``pending`` (row -> qp).
 
-        ``pending`` maps row -> (qp, records).  Predictions take one
-        ``predict_many`` per reference store; dequantization and IDCT
-        run once per (qp, intra) group over just the blocks that carry
-        levels (an uncoded inter block is its prediction); each row then
-        lands in the store with one strip write.
+        Predictions take one ``predict_many`` per reference store;
+        dequantization and IDCT run once per (qp, intra) group over just
+        the blocks that carry levels (an uncoded inter block is its
+        prediction); each row then lands in the store with one strip
+        write.
         """
         if not pending:
             return
         with obs.span("codec.decode.reconstruct", rows=len(pending)):
-            rows = list(pending.items())
+            rows = np.fromiter(pending, dtype=np.int64, count=len(pending))
+            pending_qps = list(pending.values())
             pending.clear()
-            # Per reference store: (MB indices, mb_ys, mb_xs, mv dx, mv dy).
-            refs = {"past": ([], [], [], [], []), "future": ([], [], [], [], [])}
-            intra: dict[int, tuple[list, list]] = {}  # qp -> (MBs, levels)
-            # qp -> (block indices, indices into their dense levels, levels)
-            inter: dict[int, tuple[list, list, list]] = {}
-            n_mbs = 0
-            for row, (qp, records) in rows:
-                for col, (residual, past_mv, future_mv) in enumerate(records):
-                    mb = n_mbs
-                    n_mbs += 1
-                    if past_mv is None and future_mv is None:
-                        mbs, levels = intra.setdefault(qp, ([], []))
-                        mbs.append(mb)
-                        levels.append(residual)
-                        continue
-                    for name, mv in (("past", past_mv), ("future", future_mv)):
-                        if mv is None:
-                            continue
-                        select, ys, xs, dxs, dys = refs[name]
-                        select.append(mb)
-                        ys.append(row * MB_SIZE)
-                        xs.append(col * MB_SIZE)
-                        dxs.append(mv.dx)
-                        dys.append(mv.dy)
-                    if residual:  # the coded blocks of an inter MB
-                        blocks, flat, levels = inter.setdefault(qp, ([], [], []))
-                        for index, rasters, values in residual:
-                            base = len(blocks) * 64
-                            blocks.append(mb * 6 + index)
-                            flat += [base + raster for raster in rasters]
-                            levels += values
+            mb_cols = parsed.info.shape[1]
+            n_mbs = rows.size * mb_cols
+            # Macroblock k of the pass is row_of[k], col_of[k]: row by row.
+            row_of = np.repeat(rows, mb_cols)
+            col_of = np.tile(np.arange(mb_cols), rows.size)
+            mb_ids = row_of * mb_cols + col_of
+            info = parsed.info.reshape(-1, parsed.info.shape[2])[mb_ids]
+            levels = parsed.levels.reshape(-1, 6, 64)
+            qp_of = np.repeat(pending_qps, mb_cols)
 
             recon = np.empty((n_mbs, 6, 8, 8), dtype=np.float64)
-            from_past = np.zeros(n_mbs, dtype=bool)
-            for name, store in (("past", past), ("future", future)):
-                select, ys, xs, dxs, dys = refs[name]
-                if not select:
+            from_past = info[:, F_FWD] != 0
+            for forward, store, present, dx, dy in (
+                (True, past, from_past, F_FWD_DX, F_FWD_DY),
+                (False, future, info[:, F_BWD] != 0, F_BWD_DX, F_BWD_DY),
+            ):
+                select = np.flatnonzero(present)
+                if not select.size:
                     continue
                 prediction, _ = predict_many(
-                    store.y, store.u, store.v, ys, xs, dxs, dys, BORDER
+                    store.y, store.u, store.v,
+                    row_of[select] * MB_SIZE, col_of[select] * MB_SIZE,
+                    info[select, dx], info[select, dy], BORDER,
                 )
-                select = np.asarray(select)
-                if name == "past":
+                if forward:
                     recon[select] = prediction
-                    from_past[select] = True
                     continue
                 both = from_past[select]
                 recon[select[~both]] = prediction[~both]
-                average = select[both]
+                average = select[both]  # bidirectional: the rounded average
                 recon[average] = (recon[average] + prediction[both] + 1.0) // 2
             recon = recon.reshape(n_mbs * 6, 8, 8)
-            for qp, (mbs, levels) in intra.items():
-                blocks = (np.asarray(mbs)[:, None] * 6 + np.arange(6)).ravel()
-                recon[blocks] = self._recon_idct(
-                    dequantize_any(np.concatenate(levels), qp, True, self.quant_method)
-                )
-            for qp, (blocks, flat, levels) in inter.items():
-                coded = np.zeros(len(blocks) * 64, dtype=np.int32)
-                coded[flat] = levels
-                recon[blocks] += self._recon_idct(
-                    dequantize_any(coded.reshape(-1, 8, 8), qp, False, self.quant_method)
-                )
+            intra = info[:, F_KIND] == KIND_INTRA
+            # The coded blocks of inter MBs, in (MB, block) order.
+            coded = (info[:, F_KIND] == KIND_INTER)[:, None] & (
+                (info[:, F_CBP, None] >> (5 - np.arange(6))) & 1
+            ).astype(bool)
+            for qp in set(pending_qps):
+                at_qp = qp_of == qp
+                mbs = np.flatnonzero(intra & at_qp)
+                if mbs.size:
+                    blocks = (mbs[:, None] * 6 + np.arange(6)).ravel()
+                    recon[blocks] = self._recon_idct(dequantize_any(
+                        levels[mb_ids[mbs]].reshape(-1, 8, 8), qp, True,
+                        self.quant_method,
+                    ))
+                mbs, indices = np.nonzero(coded & at_qp[:, None])
+                if mbs.size:
+                    recon[mbs * 6 + indices] += self._recon_idct(dequantize_any(
+                        levels[mb_ids[mbs], indices].reshape(-1, 8, 8), qp, False,
+                        self.quant_method,
+                    ))
             pixels = np.clip(np.rint(recon), 0, 255).astype(np.uint8)
-            pixels = pixels.reshape(n_mbs, 6, 8, 8)
-
-            start = 0
-            for row, (_, records) in rows:
-                self._scatter_row_pixels(
-                    recon_store, row, pixels[start : start + len(records)]
-                )
-                start += len(records)
+            pixels = pixels.reshape(rows.size, mb_cols, 6, 8, 8)
+            for row, row_pixels in zip(rows.tolist(), pixels):
+                self._scatter_row_pixels(recon_store, row, row_pixels)
 
     # -- data-partitioned packets ---------------------------------------------
 

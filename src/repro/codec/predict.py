@@ -103,6 +103,11 @@ class AcDcPredictor(DcPredictor):
             return np.zeros(AC_LINE, dtype=np.int32)
         return store[source_row + 1, source_col + 1].copy()
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The padded state (DCs, valid flags, first AC rows, first AC
+        columns) that a native parser reads and writes in place."""
+        return self._dc, self._valid, self._first_row, self._first_col
+
     def store_ac(
         self, row: int, col: int, first_row: np.ndarray, first_col: np.ndarray
     ) -> None:

@@ -96,6 +96,29 @@ class HuffmanTable:
             table[first : first + span] = [(symbol, length)] * span
         return root
 
+    def node_array(self, symbol_code) -> np.ndarray:
+        """The decode lookup as rows of 256 int32 nodes, for native decoders.
+
+        Row 0 is the root table.  A leaf is ``symbol_code(symbol) << 8 |
+        length``, a sub-table for the next 8 bits is ``-row``, and 0 marks
+        a byte where no code lives.
+        """
+        rows: list = []
+
+        def flatten(table: list) -> int:
+            index = len(rows)
+            rows.append(None)
+            rows[index] = [
+                0 if entry is None
+                else -flatten(entry) if type(entry) is list
+                else symbol_code(entry[0]) << 8 | entry[1]
+                for entry in table
+            ]
+            return index
+
+        flatten(self._lookup)
+        return np.array(rows, dtype=np.int32)
+
     def encode(self, writer: BitWriter, symbol) -> int:
         """Write the code for ``symbol``; returns its bit length."""
         code, length = self.codes[symbol]
@@ -141,9 +164,9 @@ _COEFF_SYMBOLS = frozenset(
     symbol for symbol, _ in _coefficient_weights() if symbol != ESCAPE
 )
 
-# Escape payload widths (MPEG-4 escape type 3: FLC last/run/level).
-_ESCAPE_RUN_BITS = 6
-_ESCAPE_LEVEL_BITS = 12
+#: Escape payload widths (MPEG-4 escape type 3: FLC last/run/level).
+ESCAPE_RUN_BITS = 6
+ESCAPE_LEVEL_BITS = 12
 
 
 def encode_coefficient_event(writer: BitWriter, last: int, run: int, level: int) -> None:
@@ -159,11 +182,11 @@ def encode_coefficient_event(writer: BitWriter, last: int, run: int, level: int)
         return
     COEFF_TABLE.encode(writer, ESCAPE)
     writer.write_bit(last)
-    writer.write_bits(run, _ESCAPE_RUN_BITS)
+    writer.write_bits(run, ESCAPE_RUN_BITS)
     writer.write_bit(sign)
-    if magnitude >= (1 << _ESCAPE_LEVEL_BITS):
+    if magnitude >= (1 << ESCAPE_LEVEL_BITS):
         raise ValueError(f"level magnitude {magnitude} exceeds escape range")
-    writer.write_bits(magnitude, _ESCAPE_LEVEL_BITS)
+    writer.write_bits(magnitude, ESCAPE_LEVEL_BITS)
 
 
 def decode_coefficient_event(reader: BitReader) -> tuple[int, int, int]:
@@ -171,9 +194,9 @@ def decode_coefficient_event(reader: BitReader) -> tuple[int, int, int]:
     symbol = COEFF_TABLE.decode(reader)
     if symbol == ESCAPE:
         last = reader.read_bit()
-        run = reader.read_bits(_ESCAPE_RUN_BITS)
+        run = reader.read_bits(ESCAPE_RUN_BITS)
         sign = reader.read_bit()
-        magnitude = reader.read_bits(_ESCAPE_LEVEL_BITS)
+        magnitude = reader.read_bits(ESCAPE_LEVEL_BITS)
         level = -magnitude if sign else magnitude
         return last, run, level
     last, run, magnitude = symbol
@@ -225,18 +248,18 @@ def coefficient_event_codes(
     codes = (table_codes << 1) | signs
     lengths = table_lengths + 1
     if not in_table.all():
-        if (magnitudes[~in_table] >= (1 << _ESCAPE_LEVEL_BITS)).any():
+        if (magnitudes[~in_table] >= (1 << ESCAPE_LEVEL_BITS)).any():
             raise ValueError("level magnitude exceeds escape range")
         escape_code, escape_length = COEFF_TABLE.codes[ESCAPE]
         escaped = (escape_code << 1) | lasts
-        escaped = (escaped << _ESCAPE_RUN_BITS) | runs
+        escaped = (escaped << ESCAPE_RUN_BITS) | runs
         escaped = (escaped << 1) | signs
-        escaped = (escaped << _ESCAPE_LEVEL_BITS) | magnitudes
+        escaped = (escaped << ESCAPE_LEVEL_BITS) | magnitudes
         codes = np.where(in_table, codes, escaped)
         lengths = np.where(
             in_table,
             lengths,
-            escape_length + 2 + _ESCAPE_RUN_BITS + _ESCAPE_LEVEL_BITS,
+            escape_length + 2 + ESCAPE_RUN_BITS + ESCAPE_LEVEL_BITS,
         )
     return codes, lengths
 

@@ -1,12 +1,13 @@
 """Compile-once-per-digest loader for small C fast-path kernels.
 
-Both performance-critical inner loops of the reproduction -- the memory
-hierarchy simulator (:mod:`repro.memsim.fastpath`) and the codec's
-motion search (:mod:`repro.codec.batched`: full-pel search, its
-early-termination work model and half-pel refinement, traced or not) --
-follow the same playbook: a pure-Python/NumPy reference implementation
-is the oracle, and a tiny single-file C kernel is compiled at runtime
-with the system compiler for the hot path.  This module holds the shared
+The three performance-critical kernels of the reproduction -- the
+memory hierarchy simulator (:mod:`repro.memsim.fastpath`), the codec's
+plane kernel (:mod:`repro.codec.batched`: motion search with its
+early-termination work model and half-pel refinement, traced or not, and
+motion compensation) and its macroblock-row parser (the batched
+decoder's VLC parse) -- follow the same playbook: a pure-Python/NumPy
+reference implementation is the oracle, and a tiny single-file C kernel
+is compiled at runtime with the system compiler for the hot path.  This module holds the shared
 machinery: compiler discovery, per-source-digest caching, and atomic
 publication so concurrent workers never load a half-written library.
 

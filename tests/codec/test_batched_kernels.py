@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.codec import batched
 from repro.codec.batched import (
     _full_search_plane_numpy,
     chroma_mv,
@@ -20,6 +21,7 @@ from repro.codec.batched import (
     half_pel_refine_plane,
     intra_decisions,
     predict_many,
+    sad_kernel_available,
     scatter_plane_blocks,
 )
 from repro.codec.framestore import BORDER
@@ -166,6 +168,60 @@ class TestCompensateMany:
         for i in range(50):
             cmv = MotionVector(int(dx[i]), int(dy[i])).chroma()
             assert (cdx[i], cdy[i]) == (cmv.dx, cmv.dy), i
+
+
+@pytest.mark.skipif(
+    not sad_kernel_available(), reason="no C compiler to build the plane kernel"
+)
+class TestCompensateKernel:
+    """``compensate_blocks`` (the plane kernel) against the NumPy body of
+    :func:`compensate_many`, its fallback."""
+
+    @staticmethod
+    def numpy_compensate(monkeypatch, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(batched, "_load_sad_kernel", lambda: None)
+            return compensate_many(*args)
+
+    @pytest.mark.parametrize("size", [MB_SIZE, 8])
+    def test_every_phase_and_edge_matches_numpy(self, planes, size, monkeypatch):
+        reference, _ = planes
+        height, width = reference.shape
+        # Every source origin from one corner of the plane to the other,
+        # at every half-pel phase, as far as each phase can reach.
+        ys, xs, mv_dx, mv_dy = [], [], [], []
+        for ry in (0, 1):
+            for rx in (0, 1):
+                for src_y in (0, 1, height // 2, height - size - ry):
+                    for src_x in (0, 3, width // 2, width - size - rx):
+                        y0, x0 = BORDER, BORDER + size
+                        ys.append(y0)
+                        xs.append(x0)
+                        mv_dy.append(2 * (src_y - y0) + ry)
+                        mv_dx.append(2 * (src_x - x0) + rx)
+        args = (reference, ys, xs, mv_dx, mv_dy, size)
+        kernel = compensate_many(*args)
+        assert kernel.shape == (len(ys), size, size)
+        np.testing.assert_array_equal(kernel, self.numpy_compensate(monkeypatch, *args))
+
+    def test_empty_batch(self, planes):
+        reference, _ = planes
+        empty = np.zeros(0, dtype=np.int64)
+        out = compensate_many(reference, empty, empty, empty, empty, 8)
+        assert out.shape == (0, 8, 8)
+
+    @pytest.mark.parametrize("mv", [(-2 * BORDER - 1, 0), (0, -2 * BORDER - 1),
+                                    (2 * BORDER + 1, 0), (0, 2 * BORDER + 1)])
+    def test_escaping_source_raises_as_numpy_does(self, planes, mv, monkeypatch):
+        reference, _ = planes
+        height, width = reference.shape
+        args = (reference, [BORDER, height - BORDER - MB_SIZE],
+                [BORDER, width - BORDER - MB_SIZE], [mv[0]] * 2, [mv[1]] * 2, MB_SIZE)
+        with pytest.raises(ValueError) as kernel:
+            compensate_many(*args)
+        with pytest.raises(ValueError) as fallback:
+            self.numpy_compensate(monkeypatch, *args)
+        assert str(kernel.value) == str(fallback.value)
 
 
 class TestPredictMany:

@@ -13,8 +13,10 @@ with B-VOPs; no resync with M=1; data partitioning with RVLC), plus a
 few hand-picked cases that exercise rare decoder paths: a P-VOP whose
 damaged display index makes it predict from its own frame store, a
 resync marker carrying ``qp = 0``, and rows concealed after they had
-decoded.  Both codec engines are pinned, and since they share one
-macroblock parser they must also agree with each other.
+decoded.  Both codec engines are pinned, and since their macroblock
+parse has one parser of record (the batched engine's C row parser hands
+every row it cannot finish back to it) they must also agree with each
+other.
 
 Re-record only when a change is *meant* to alter decode outcomes::
 
