@@ -46,7 +46,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.codec import vlc
-from repro.codec.motion import ZERO_MV_BIAS, MotionVector, SearchResult
+from repro.codec.motion import ZERO_MV_BIAS, MotionVector
 from repro.codec.predict import DEFAULT_DC
 from repro.codec.quant import ZIGZAG
 from repro.codec.types import VopType
@@ -111,41 +111,18 @@ class PlaneSearch:
     evaluated: np.ndarray
     coverage: np.ndarray
 
-    def search_results(self) -> list[list[tuple[SearchResult, int]]]:
-        """Per MB, ``(full-pel SearchResult, half-pel evaluations)``.
-
-        The same values the per-MB reference search hands to the trace's
-        ``me_search`` hook.
-        """
-        mb_rows, mb_cols = self.dx.shape
-        fields = (
-            self.full_dx, self.full_dy, self.full_sad, self.candidates,
-            self.reads, self.cover_rows, self.evaluated,
+    def row_work(self, row: int):
+        """Row ``row``'s work model, per MB, as the trace's row emitter
+        (``repro.trace.kernels.encode_row``) reads it: ``(reads,
+        candidates, evaluated, coverage, cover_rows)``."""
+        return (
+            self.reads[row], self.candidates[row], self.evaluated[row],
+            self.coverage[row], self.cover_rows[row],
         )
-        per_mb = zip(
-            *(f.ravel().tolist() for f in fields),
-            self.coverage.reshape(mb_rows * mb_cols, -1),
-        )
-        cells = [
-            (
-                SearchResult(
-                    mv=MotionVector(2 * fdx, 2 * fdy),
-                    sad=sad,
-                    candidates_evaluated=candidates,
-                    ref_reads=reads,
-                    cur_reads=reads,
-                    row_coverage=coverage[:cover_rows],
-                ),
-                evaluated,
-            )
-            for fdx, fdy, sad, candidates, reads, cover_rows, evaluated, coverage
-            in per_mb
-        ]
-        return [cells[row * mb_cols : (row + 1) * mb_cols] for row in range(mb_rows)]
 
 
 #: int64 values per macroblock record: every PlaneSearch field but coverage.
-_RECORD_FIELDS = 10
+SEARCH_RECORD_FIELDS = 10
 
 
 def search_plane(
@@ -182,7 +159,7 @@ def search_plane(
         raise ValueError("macroblock grid or search range does not fit the plane")
     reference = np.ascontiguousarray(reference, dtype=np.uint8)
     current = np.ascontiguousarray(current, dtype=np.uint8)
-    records = np.empty((mb_rows, mb_cols, _RECORD_FIELDS), dtype=np.int64)
+    records = np.empty((mb_rows, mb_cols, SEARCH_RECORD_FIELDS), dtype=np.int64)
     coverage = np.zeros((mb_rows, mb_cols, 2 * search_range + MB_SIZE), dtype=np.int64)
     lib.sad_full_search(
         reference.ctypes.data,
@@ -703,17 +680,3 @@ class MacroblockRows:
             *((0, 0, 0) if past_mv is None else (1, past_mv.dx, past_mv.dy)),
             *((0, 0, 0) if future_mv is None else (1, future_mv.dx, future_mv.dy)),
         )
-
-    def records(self, row: int):
-        """Row ``row`` as the decoder's parser yields it: ``(col,
-        (residual, past_mv, future_mv), cbp, n_events)``, the residual
-        being the macroblock's levels (None when skipped)."""
-        for col, (kind, cbp, n_events, fwd, fdx, fdy, bwd, bdx, bdy) in enumerate(
-            self.info[row].tolist()
-        ):
-            record = (
-                None if kind == KIND_SKIPPED else self.levels[row, col],
-                MotionVector(fdx, fdy) if fwd else None,
-                MotionVector(bdx, bdy) if bwd else None,
-            )
-            yield col, record, cbp, n_events

@@ -547,28 +547,24 @@ class VopDecoder:
         """Parse one macroblock row into ``parsed``, checking and counting
         each macroblock as the other paths do.
 
-        The kernel parses the row in one call when it can.  Otherwise,
+        The kernel parses the row in one call when it can; a traced row
+        is then emitted in one call to the trace's row emitter.  Otherwise,
         and whenever the kernel hands the row back,
         :meth:`_parse_mb_row` parses it from the row's first bit, so
         every error, its bit position, the statistics of a partial row and
-        the trace hooks come from the parser of record.
+        the per-MB trace hooks come from the parser of record.
         """
         if parsed.parse(reader, row, dc_preds):
-            if self._rec is None:
-                info = parsed.info[row]
-                skipped, intra, inter = np.bincount(
-                    info[:, F_KIND], minlength=3
-                ).tolist()
-                vop_stats.skipped_mbs += skipped
-                vop_stats.intra_mbs += intra
-                vop_stats.inter_mbs += inter
-                vop_stats.coded_coefficients += int(info[:, F_N_EVENTS].sum())
-                return
-            for col, record, cbp, n_events in parsed.records(row):
-                self._check_predictions(record, past, future, row, col)
-                self._count_mb(
-                    vop_stats, record, cbp, n_events, recon_store, row, col
-                )
+            info = parsed.info[row]
+            skipped, intra, inter = np.bincount(
+                info[:, F_KIND], minlength=3
+            ).tolist()
+            vop_stats.skipped_mbs += skipped
+            vop_stats.intra_mbs += intra
+            vop_stats.inter_mbs += inter
+            vop_stats.coded_coefficients += int(info[:, F_N_EVENTS].sum())
+            if self._rec is not None and self._rec.active:
+                self._emit_row(info, row, past, future, recon_store)
             return
         with parsed.python_row(row, mv_grid):
             for col, record, cbp, n_events in self._parse_mb_row(
@@ -579,6 +575,29 @@ class VopDecoder:
                     vop_stats, record, cbp, n_events, recon_store, row, col
                 )
                 parsed.pack(row, col, record, cbp, n_events)
+
+    def _emit_row(self, info, row, past, future, recon_store) -> None:
+        """Trace a kernel-parsed row from its records, as the per-MB
+        hooks (:meth:`_check_predictions`, :meth:`_count_mb`) would.
+
+        An intra macroblock's texture pipeline covers all six blocks.
+        """
+        tk = self._tk
+        kinds = info[:, F_KIND]
+        # Indexed by KIND_SKIPPED, KIND_INTRA, KIND_INTER.
+        texture = np.array((tk.TEXTURE_NONE, tk.TEXTURE_INTRA, tk.TEXTURE_INTER))[kinds]
+        compensations = [
+            (store.fmap, info[:, dx] | info[:, dy], info[:, present])
+            for store, present, dx, dy in (
+                (past, F_FWD, F_FWD_DX, F_FWD_DY), (future, F_BWD, F_BWD_DX, F_BWD_DY)
+            )
+            if store is not None
+        ]
+        blocks = np.where(kinds == KIND_INTRA, 6, tk.coded_blocks(info[:, F_CBP]))
+        tk.decode_row(
+            self._rec, row, recon_store.fmap, compensations,
+            (texture, blocks, info[:, F_N_EVENTS]),
+        )
 
     def _parse_mb_row(self, reader, vop_type, dc_preds, mv_grid, row, mask, vop_stats):
         """Parse one macroblock row, yielding each macroblock as it is read.

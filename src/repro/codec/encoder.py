@@ -24,6 +24,8 @@ import numpy as np
 from repro import obs
 from repro.codec import vlc
 from repro.codec.batched import (
+    SEARCH_RECORD_FIELDS,
+    PlaneSearch,
     full_search_plane,
     gather_plane_blocks,
     half_pel_refine_plane,
@@ -577,61 +579,32 @@ class VopEncoder:
     def _batched_motion(self, ref_store: FrameStore):
         """Whole-VOP motion search against one reference store.
 
-        Returns ``(mv_dx, mv_dy, sads, candidates, hook_data)`` with the
+        Returns ``(mv_dx, mv_dy, sads, candidates, search)`` with the
         final (half-pel) displacements.  One call to the C search kernel
         serves traced, untraced and clamped (``search_range > BORDER``)
-        searches; with a trace recorder attached, its per-MB work model
-        (read counts, row coverage) is stashed in ``hook_data`` for the
-        serializer to emit in reference order.  Without a compiler, a
-        traced or clamped search runs the per-macroblock reference search
-        and any other runs the NumPy plane sweeps.
+        searches; ``search`` is its :class:`~repro.codec.batched.PlaneSearch`,
+        whose per-MB work model (read counts, row coverage) the trace's
+        row emitter reads.  Without a compiler, a traced or clamped search
+        runs the per-macroblock reference search (:meth:`_search_per_mb`)
+        and any other runs the NumPy plane sweeps (``search`` is None).
         """
         config = self.config
-        rec = self._rec
         mb_rows, mb_cols = config.mb_rows, config.mb_cols
         search_range = config.search_range
         search = search_plane(
             ref_store.y, self._cur.y, BORDER, mb_rows, mb_cols, search_range,
             config.use_half_pel,
         )
+        if search is None and (self._rec is not None or search_range > BORDER):
+            search = self._search_per_mb(ref_store)
         if search is not None:
-            hook_data = search.search_results() if rec is not None else None
             return (
                 search.dx,
                 search.dy,
                 search.sad,
                 search.candidates + search.evaluated,
-                hook_data,
+                search,
             )
-        if rec is not None or search_range > BORDER:
-            mv_dx = np.zeros((mb_rows, mb_cols), dtype=np.int64)
-            mv_dy = np.zeros((mb_rows, mb_cols), dtype=np.int64)
-            sads = np.zeros((mb_rows, mb_cols), dtype=np.int64)
-            candidates = np.zeros((mb_rows, mb_cols), dtype=np.int64)
-            hook_data = [[None] * mb_cols for _ in range(mb_rows)]
-            for row in range(mb_rows):
-                for col in range(mb_cols):
-                    y0 = BORDER + row * MB_SIZE
-                    x0 = BORDER + col * MB_SIZE
-                    cur_block = self._cur.y[y0 : y0 + MB_SIZE, x0 : x0 + MB_SIZE]
-                    result = full_search(
-                        cur_block, ref_store.y, x0, y0, search_range,
-                        model_work=rec is not None,
-                    )
-                    halfpel_evals = 0
-                    final_mv, final_sad = result.mv, result.sad
-                    if config.use_half_pel:
-                        refined = half_pel_refine(
-                            cur_block, ref_store.y, x0, y0, result.mv, result.sad
-                        )
-                        halfpel_evals = refined.candidates_evaluated
-                        final_mv, final_sad = refined.mv, refined.sad
-                    mv_dx[row, col] = final_mv.dx
-                    mv_dy[row, col] = final_mv.dy
-                    sads[row, col] = final_sad
-                    candidates[row, col] = result.candidates_evaluated + halfpel_evals
-                    hook_data[row][col] = (result, halfpel_evals)
-            return mv_dx, mv_dy, sads, candidates, hook_data
         full_dx, full_dy, full_sad = full_search_plane(
             ref_store.y, self._cur.y, BORDER, mb_rows, mb_cols, search_range
         )
@@ -654,6 +627,41 @@ class VopEncoder:
             candidates,
             None,
         )
+
+    def _search_per_mb(self, ref_store: FrameStore) -> PlaneSearch:
+        """The reference engine's per-macroblock search of every MB,
+        packed into the kernel's :class:`~repro.codec.batched.PlaneSearch`
+        (with the work model only when a recorder is attached)."""
+        config = self.config
+        mb_rows, mb_cols = config.mb_rows, config.mb_cols
+        search_range = config.search_range
+        fields = np.zeros((SEARCH_RECORD_FIELDS, mb_rows, mb_cols), dtype=np.int64)
+        coverage = np.zeros((mb_rows, mb_cols, 2 * search_range + MB_SIZE), dtype=np.int64)
+        for row in range(mb_rows):
+            for col in range(mb_cols):
+                y0 = BORDER + row * MB_SIZE
+                x0 = BORDER + col * MB_SIZE
+                cur_block = self._cur.y[y0 : y0 + MB_SIZE, x0 : x0 + MB_SIZE]
+                result = full_search(
+                    cur_block, ref_store.y, x0, y0, search_range,
+                    model_work=self._rec is not None,
+                )
+                final, evaluated = result, 0
+                if config.use_half_pel:
+                    final = half_pel_refine(
+                        cur_block, ref_store.y, x0, y0, result.mv, result.sad
+                    )
+                    evaluated = final.candidates_evaluated
+                cover_rows = 0
+                if result.row_coverage is not None:
+                    cover_rows = result.row_coverage.size
+                    coverage[row, col, :cover_rows] = result.row_coverage
+                fields[:, row, col] = (
+                    result.mv.dx // 2, result.mv.dy // 2, result.sad,
+                    result.candidates_evaluated, result.ref_reads, cover_rows,
+                    final.mv.dx, final.mv.dy, final.sad, evaluated,
+                )
+        return PlaneSearch(*fields, coverage=coverage)
 
     def _batched_residual_code(self, qp: int, residual: np.ndarray):
         """Transform/quantize (n, 6, 8, 8) residuals and prep their VLC.
@@ -706,13 +714,17 @@ class VopEncoder:
                     texture_writer, lasts[index], runs[index], levels[index]
                 )
 
-    def _serialize_rows(self, writer: BitWriter, qp: int, code_mb, on_row=None) -> None:
+    def _serialize_rows(
+        self, writer: BitWriter, qp: int, code_mb, on_row=None, emit_row=None
+    ) -> None:
         """Row scaffolding shared by every macroblock encoder.
 
         Resync markers, per-row prediction resets (``on_row``), the row
         trace hook and data-partition splicing (motion marker + texture
-        splice), with per-MB ``stream_write`` accounting across both
-        writers.
+        splice).  A traced encode measures each macroblock's bytes across
+        both writers: ``emit_row(row, n_bytes)`` gets a row's byte counts
+        after its last macroblock (the batched engine's row emitter);
+        without it each macroblock gets its own ``stream_write``.
         """
         config = self.config
         rec = self._rec
@@ -732,18 +744,25 @@ class VopEncoder:
             # side buffer spliced in after the motion marker.
             texture = BitWriter() if config.data_partitioning else writer
             split = texture is not writer
+            row_bytes = []
             for col in range(config.mb_cols):
+                if rec is None:
+                    code_mb(writer, texture, row, col)
+                    continue
                 bits_before = writer.bit_position + (
                     texture.bit_position if split else 0
                 )
                 code_mb(writer, texture, row, col)
-                if rec is not None:
-                    bits_after = writer.bit_position + (
-                        texture.bit_position if split else 0
-                    )
-                    self._tk.stream_write(
-                        rec, self._stream_region, (bits_after - bits_before + 7) // 8
-                    )
+                bits_after = writer.bit_position + (
+                    texture.bit_position if split else 0
+                )
+                n_bytes = (bits_after - bits_before + 7) // 8
+                if emit_row is None:
+                    self._tk.stream_write(rec, self._stream_region, n_bytes)
+                else:
+                    row_bytes.append(n_bytes)
+            if emit_row is not None:
+                emit_row(row, row_bytes)
             if split:
                 writer.write_startcode(MOTION_MARKER_STARTCODE)
                 writer.extend(texture)
@@ -775,9 +794,9 @@ class VopEncoder:
         :meth:`_plan_intra_vop` predicts and VLC-preps every block at
         once; each macroblock then writes its header, ``ac_pred`` bit, six
         DC differences and event spans.  The bits, statistics and trace
-        hooks are those of :meth:`_serialize_intra_mb` run macroblock by
+        are those of :meth:`_serialize_intra_mb` run macroblock by
         macroblock with per-packet predictors.  ``recon_store`` is read
-        only by the trace hook.
+        only by the trace.
         """
         mb_cols = self.config.mb_cols
         partitioned = self.config.data_partitioning
@@ -793,13 +812,40 @@ class VopEncoder:
                 self._write_block_events(texture, payload, starts[block], starts[block + 1])
             vop_stats.intra_mbs += 1
             vop_stats.coded_coefficients += n_events[k]
-            if self._rec is not None:
-                self._tk.mb_texture(
-                    self._rec, "intra_enc", self._cur.fmap, recon_store.fmap,
-                    row * MB_SIZE, col * MB_SIZE, n_coded_blocks=6, n_events=n_events[k],
-                )
 
-        self._serialize_rows(writer, qp, code_mb)
+        emit_row = None
+        if self._rec is not None:
+            events = np.array(n_events, dtype=np.int64).reshape(-1, mb_cols)
+            emit_row = self._row_emitter(
+                recon_store, (), (),
+                np.full(events.shape, self._tk.TEXTURE_INTRA), np.full(events.shape, 6), events,
+            )
+
+        self._serialize_rows(writer, qp, code_mb, emit_row=emit_row)
+
+    def _row_emitter(self, recon_store, searched, compensated, kinds, blocks, events):
+        """The trace's row emitter for a batched VOP: ``emit_row(row,
+        n_bytes)`` for :meth:`_serialize_rows`.
+
+        ``searched`` pairs each reference store searched with its
+        :class:`~repro.codec.batched.PlaneSearch`; ``compensated`` each
+        reference store compensated from with its per-MB ``dx | dy`` and
+        the MBs that use it; ``kinds``, ``blocks`` and ``events`` are the
+        per-MB texture kind, coded blocks and events.  All are
+        ``(mb_rows, mb_cols)`` grids.
+        """
+        tk = self._tk
+
+        def emit_row(row: int, n_bytes: list) -> None:
+            tk.encode_row(
+                self._rec, self._stream_region, row, n_bytes, self._cur.fmap,
+                recon_store.fmap, self.config.search_range,
+                [(store.fmap, *search.row_work(row)) for store, search in searched],
+                [(store.fmap, halfpel[row], used[row]) for store, halfpel, used in compensated],
+                (kinds[row], blocks[row], events[row]),
+            )
+
+        return emit_row
 
     def _plan_intra_vop(self, levels: np.ndarray):
         """DC/AC prediction and VLC prep for every block of an I-VOP.
@@ -869,7 +915,7 @@ class VopEncoder:
         method = config.quant_method
         cur_blocks, y16 = self._gather_mb_tensor(self._cur)
         with obs.span("codec.encode.motion_search"):
-            mv_dx, mv_dy, sads, candidates, hook_data = self._batched_motion(past)
+            mv_dx, mv_dy, sads, candidates, search = self._batched_motion(past)
         intra_sel = intra_decisions(y16, sads)
         inter_rows, inter_cols = np.nonzero(~intra_sel)
         with obs.span("codec.encode.predict"):
@@ -911,6 +957,27 @@ class VopEncoder:
         inter_index[inter_rows, inter_cols] = np.arange(inter_rows.size)
         intra_index = np.full((mb_rows, mb_cols), -1, dtype=np.int64)
         intra_index[intra_rows, intra_cols] = np.arange(intra_rows.size)
+        emit_row = None
+        if rec is not None:
+            # Every macroblock is searched; intra ones are not compensated,
+            # and skipped ones (no coded block, zero vector) have no
+            # texture.  Intra MBs fill in their events as they serialize.
+            tk = self._tk
+            inter = inter_index >= 0
+            coded = np.zeros(inter.shape, dtype=np.int64)
+            coded[inter] = np.asarray(cbp, dtype=np.int64)[inter_index[inter]]
+            events = np.zeros(inter.shape, dtype=np.int64)
+            events[inter] = np.asarray(n_events, dtype=np.int64)[inter_index[inter]]
+            skipped = inter & (coded == 0) & (mv_dx == 0) & (mv_dy == 0)
+            emit_row = self._row_emitter(
+                recon_store, [(past, search)], [(past, mv_dx | mv_dy, inter)],
+                np.where(
+                    intra_sel, tk.TEXTURE_INTRA,
+                    np.where(skipped, tk.TEXTURE_NONE, tk.TEXTURE_INTER),
+                ),
+                np.where(intra_sel, 6, tk.coded_blocks(coded)),
+                events,
+            )
         inter_index = inter_index.tolist()
         intra_index = intra_index.tolist()
         mv_dx_l, mv_dy_l = mv_dx.tolist(), mv_dy.tolist()
@@ -918,13 +985,6 @@ class VopEncoder:
         mv_grid = [[ZERO_MV] * mb_cols for _ in range(mb_rows)]
 
         def code_mb(writer, texture, row: int, col: int) -> None:
-            mb_y, mb_x = row * MB_SIZE, col * MB_SIZE
-            if rec is not None:
-                result, halfpel_evals = hook_data[row][col]
-                self._tk.me_search(
-                    rec, past.fmap, self._cur.fmap, mb_y, mb_x,
-                    config.search_range, result, halfpel_evals,
-                )
             vop_stats.sad_candidates += candidates_l[row][col]
             k = inter_index[row][col]
             if k < 0:
@@ -934,14 +994,9 @@ class VopEncoder:
                 )
                 mv_grid[row][col] = ZERO_MV
                 if rec is not None:
-                    self._tk.mb_texture(
-                        rec, "intra_enc", self._cur.fmap, recon_store.fmap,
-                        mb_y, mb_x, n_coded_blocks=6, n_events=n_ev,
-                    )
+                    events[row, col] = n_ev
                 return
             dx, dy = mv_dx_l[row][col], mv_dy_l[row][col]
-            if rec is not None:
-                self._tk.mc_mb(rec, past.fmap, mb_y, mb_x, dx | dy)
             mb_cbp = cbp[k]
             if mb_cbp == 0 and dx == 0 and dy == 0:
                 vlc.encode_macroblock_header(writer, False, True, 0, inter_allowed=True)
@@ -960,15 +1015,9 @@ class VopEncoder:
             self._write_block_events(texture, payload, starts[k], starts[k + 1])
             vop_stats.inter_mbs += 1
             vop_stats.coded_coefficients += n_events[k]
-            if rec is not None:
-                self._tk.mb_texture(
-                    rec, "inter_enc", self._cur.fmap, recon_store.fmap,
-                    mb_y, mb_x, n_coded_blocks=bin(mb_cbp).count("1"),
-                    n_events=n_events[k],
-                )
 
         with obs.span("codec.encode.serialize"):
-            self._serialize_rows(writer, qp, code_mb)
+            self._serialize_rows(writer, qp, code_mb, emit_row=emit_row)
 
     def _encode_b_vop_batched(
         self,
@@ -986,8 +1035,8 @@ class VopEncoder:
         n_mbs = mb_rows * mb_cols
         cur_blocks, y16 = self._gather_mb_tensor(self._cur)
         with obs.span("codec.encode.motion_search", refs=2):
-            f_dx, f_dy, f_sad, f_cand, f_hooks = self._batched_motion(past)
-            b_dx, b_dy, b_sad, b_cand, b_hooks = self._batched_motion(future)
+            f_dx, f_dy, f_sad, f_cand, f_search = self._batched_motion(past)
+            b_dx, b_dy, b_sad, b_cand, b_search = self._batched_motion(future)
         mb_ys = np.repeat(np.arange(mb_rows, dtype=np.int64) * MB_SIZE, mb_cols)
         mb_xs = np.tile(np.arange(mb_cols, dtype=np.int64) * MB_SIZE, mb_rows)
         with obs.span("codec.encode.predict"):
@@ -1043,23 +1092,9 @@ class VopEncoder:
             pred_mvs["bwd"] = ZERO_MV
 
         def code_mb(writer, texture, row: int, col: int) -> None:
-            mb_y, mb_x = row * MB_SIZE, col * MB_SIZE
             k = row * mb_cols + col
             dxf, dyf = f_dx_l[row][col], f_dy_l[row][col]
             dxb, dyb = b_dx_l[row][col], b_dy_l[row][col]
-            if rec is not None:
-                result_f, evals_f = f_hooks[row][col]
-                self._tk.me_search(
-                    rec, past.fmap, self._cur.fmap, mb_y, mb_x,
-                    config.search_range, result_f, evals_f,
-                )
-                result_b, evals_b = b_hooks[row][col]
-                self._tk.me_search(
-                    rec, future.fmap, self._cur.fmap, mb_y, mb_x,
-                    config.search_range, result_b, evals_b,
-                )
-                self._tk.mc_mb(rec, past.fmap, mb_y, mb_x, dxf | dyf)
-                self._tk.mc_mb(rec, future.fmap, mb_y, mb_x, dxb | dyb)
             vop_stats.sad_candidates += candidates_l[row][col]
             mode = modes[row][col]
             mb_cbp = cbp[k]
@@ -1086,15 +1121,30 @@ class VopEncoder:
             self._write_block_events(texture, payload, starts[k], starts[k + 1])
             vop_stats.inter_mbs += 1
             vop_stats.coded_coefficients += n_events[k]
-            if rec is not None:
-                self._tk.mb_texture(
-                    rec, "inter_enc", self._cur.fmap, recon_store.fmap,
-                    mb_y, mb_x, n_coded_blocks=bin(mb_cbp).count("1"),
-                    n_events=n_events[k],
-                )
+
+        emit_row = None
+        if rec is not None:
+            # Every macroblock is searched and compensated from both
+            # references; a skipped one (bidirectional, no coded block,
+            # zero vectors) has no texture.
+            tk = self._tk
+            coded = np.asarray(cbp, dtype=np.int64).reshape(mb_rows, mb_cols)
+            bidirectional = (~mode_f & ~mode_b).reshape(mb_rows, mb_cols)
+            zero = (f_dx == 0) & (f_dy == 0) & (b_dx == 0) & (b_dy == 0)
+            every = np.ones((mb_rows, mb_cols), dtype=bool)
+            emit_row = self._row_emitter(
+                recon_store,
+                [(past, f_search), (future, b_search)],
+                [(past, f_dx | f_dy, every), (future, b_dx | b_dy, every)],
+                np.where(
+                    bidirectional & zero & (coded == 0), tk.TEXTURE_NONE, tk.TEXTURE_INTER
+                ),
+                tk.coded_blocks(coded),
+                np.asarray(n_events, dtype=np.int64).reshape(mb_rows, mb_cols),
+            )
 
         with obs.span("codec.encode.serialize"):
-            self._serialize_rows(writer, qp, code_mb, on_row)
+            self._serialize_rows(writer, qp, code_mb, on_row, emit_row)
 
     def _encode_texture_event(
         self, texture_writer: BitWriter, last: int, run: int, level: int

@@ -18,10 +18,12 @@ for the paper's Table 8 burstiness breakdown, and the ALU instruction count
 of the kernel section that produced them (the timing model turns that into
 compute cycles).
 
-Live sinks take one :class:`AccessBatch` at a time.  A finished recording
-is a :class:`BatchTable`: its batches' run-collapsed events in flat
-columns, the one form the replay kernel, the ``.npz`` trace cache and a
-replay worker's pickle all read.
+A sink takes a single :class:`AccessBatch` through ``process`` and a run
+of batches -- a macroblock row as the recorder emits it, or a whole
+recording -- as a :class:`BatchTable` through ``replay``.  A finished
+recording is a :class:`BatchTable`: its batches' run-collapsed events in
+flat columns, the one form the replay kernel, the ``.npz`` trace cache
+and a replay worker's pickle all read.
 """
 
 from __future__ import annotations
@@ -168,13 +170,13 @@ class BatchTable(Sequence[AccessBatch]):
     loop, :class:`TraceStats`, live sinks) reads a table the same way.
     Treat the columns as frozen.
 
-    Building a table from batches collapses each batch's runs
+    Building a table from batches, or from a capture's event slabs
+    (:func:`fold_pieces`), collapses each batch's runs
     (:meth:`AccessBatch.collapsed` semantics) in one vectorized pass per
     chunk of about :data:`CHUNK_EVENTS` events, written straight into the
-    preallocated columns, and lets go of each chunk's batches once they
-    are folded in: fed a draining iterator (:meth:`TraceCapture.table
-    <repro.trace.persistence.TraceCapture.table>`), the build never holds
-    a recording twice.
+    preallocated columns, and lets go of each piece once it is folded
+    in.  :meth:`of_columns` wraps columns built elsewhere (the row
+    emitters' tables) without a copy.
     """
 
     __slots__ = (
@@ -185,7 +187,6 @@ class BatchTable(Sequence[AccessBatch]):
         pending = list(batches)
         n = len(pending)
         phase_index: dict[str, int] = {}
-        sizes = np.fromiter((batch.lines.size for batch in pending), np.int64, n)
         self.kinds = np.fromiter((batch.kind for batch in pending), np.int64, n)
         self.alu_ops = np.fromiter((batch.alu_ops for batch in pending), np.int64, n)
         self.phase_ids = np.fromiter(
@@ -194,32 +195,24 @@ class BatchTable(Sequence[AccessBatch]):
             n,
         )
         self.phase_names = list(phase_index)
-        ends = np.cumsum(sizes)
-        capacity = int(ends[-1]) if n else 0
-        # One allocation holds both event columns.  On the 720x576 cell
-        # the run's peak RSS then stays at ~150 MB; two allocations read
-        # 148 or 153 MB from one run to the next.
-        lines, counts = np.empty((2, capacity), dtype=np.int64)
-        bounds = np.zeros(n + 1, dtype=np.int64)
-        filled = first = 0
-        while first < n:
-            # A chunk takes batches until it holds CHUNK_EVENTS events.
-            begin = int(ends[first] - sizes[first])
-            stop = min(int(np.searchsorted(ends, begin + CHUNK_EVENTS)) + 1, n)
-            chunk = pending[first:stop]
-            pending[first:stop] = [None] * (stop - first)
-            window = slice(filled, filled + int(ends[stop - 1]) - begin)
-            n_events, chunk_sizes = _collapse_into(
-                chunk, sizes[first:stop], lines[window], counts[window]
-            )
-            del chunk
-            np.cumsum(chunk_sizes, out=bounds[first + 1 : stop + 1])
-            bounds[first + 1 : stop + 1] += filled
-            filled += n_events
-            first = stop
-        self.lines = lines[:filled]
-        self.counts = counts[:filled]
-        self.bounds = bounds
+        sizes = np.fromiter((batch.lines.size for batch in pending), np.int64, n)
+        # Each batch is a piece of its own; the fold lets go of it.
+        for index, batch in enumerate(pending):
+            pending[index] = (batch.lines, batch.counts)
+        self.lines, self.counts, self.bounds = fold_pieces(
+            pending, np.ones(n, dtype=np.int64), sizes
+        )
+
+    @classmethod
+    def of_columns(
+        cls, lines, counts, bounds, kinds, alu_ops, phase_ids, phase_names
+    ) -> "BatchTable":
+        """A table over columns its caller built (collapsed, int64), unchecked."""
+        table = cls.__new__(cls)
+        table.lines, table.counts, table.bounds = lines, counts, bounds
+        table.kinds, table.alu_ops, table.phase_ids = kinds, alu_ops, phase_ids
+        table.phase_names = phase_names
+        return table
 
     @classmethod
     def from_columns(
@@ -282,25 +275,65 @@ class BatchTable(Sequence[AccessBatch]):
             )
 
 
-def _collapse_into(batches: list[AccessBatch], sizes, lines, counts):
-    """Write a chunk of batches' events to ``lines``/``counts``, collapsed.
+def fold_pieces(pieces: list, piece_batches: np.ndarray, sizes: np.ndarray):
+    """The ``(lines, counts, bounds)`` columns of a recording given in pieces.
 
-    ``sizes`` holds the batches' event counts and the two output windows
-    their total.  One pass over the chunk: a run starts at every batch's
-    first event and wherever the granule changes, and a run's count is
-    the sum of its events' counts -- :meth:`AccessBatch.collapsed`, batch
-    by batch.  Runs are packed to the front of the windows; returns the
-    number of runs and each batch's run count.
+    ``pieces`` lists ``(lines, counts)`` event arrays in trace order, piece
+    ``i`` holding ``piece_batches[i]`` whole batches back to back;
+    ``sizes`` holds every batch's event count.  The columns are allocated
+    once and filled about :data:`CHUNK_EVENTS` events at a time, each
+    chunk run-collapsed in place (:func:`collapse_runs`); each entry of
+    ``pieces`` is released (set to None) once folded in, so a draining
+    caller never holds a recording twice.
     """
-    np.concatenate([batch.lines for batch in batches], out=lines)
-    np.concatenate([batch.counts for batch in batches], out=counts)
+    n = sizes.size
+    capacity = int(sizes.sum())
+    # One allocation holds both event columns.  On the 720x576 cell the
+    # run's peak RSS then stays at ~150 MB; two allocations read 148 or
+    # 153 MB from one run to the next.
+    lines, counts = np.empty((2, capacity), dtype=np.int64)
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    batch_ends = np.cumsum(piece_batches)
+    piece_ends = np.zeros(len(pieces), dtype=np.int64)
+    piece_ends[batch_ends > 0] = np.cumsum(sizes)[batch_ends[batch_ends > 0] - 1]
+    filled = first = 0
+    while first < len(pieces):
+        # A chunk takes pieces until it holds CHUNK_EVENTS events.
+        begin = int(piece_ends[first - 1]) if first else 0
+        stop = min(int(np.searchsorted(piece_ends, begin + CHUNK_EVENTS)) + 1, len(pieces))
+        b0 = int(batch_ends[first - 1]) if first else 0
+        b1 = int(batch_ends[stop - 1])
+        chunk = pieces[first:stop]
+        pieces[first:stop] = [None] * (stop - first)
+        window = slice(filled, filled + int(piece_ends[stop - 1]) - begin)
+        np.concatenate([piece[0] for piece in chunk], out=lines[window])
+        np.concatenate([piece[1] for piece in chunk], out=counts[window])
+        del chunk
+        n_events, chunk_sizes = collapse_runs(lines[window], counts[window], sizes[b0:b1])
+        np.cumsum(chunk_sizes, out=bounds[b0 + 1 : b1 + 1])
+        bounds[b0 + 1 : b1 + 1] += filled
+        filled += n_events
+        first = stop
+    return lines[:filled], counts[:filled], bounds
+
+
+def collapse_runs(lines: np.ndarray, counts: np.ndarray, sizes: np.ndarray):
+    """Collapse the runs of back-to-back batches' events, in place.
+
+    ``lines``/``counts`` hold the events of batches of ``sizes`` events.
+    A run starts at every batch's first event and wherever the granule
+    changes, and a run's count is the sum of its events' counts --
+    :meth:`AccessBatch.collapsed`, batch by batch.  Runs are packed to the
+    front of the arrays; returns the number of runs and each batch's run
+    count.
+    """
     run_start = np.ones(lines.size, dtype=bool)
     np.not_equal(lines[1:], lines[:-1], out=run_start[1:])
+    if run_start.all():
+        return lines.size, sizes
     firsts = np.cumsum(sizes) - sizes
     run_start[firsts[sizes > 0]] = True
     starts = np.flatnonzero(run_start)
-    if starts.size == lines.size:
-        return lines.size, sizes
     runs_before = np.zeros(lines.size + 1, dtype=np.int64)
     np.cumsum(run_start, out=runs_before[1:])
     merged = np.add.reduceat(counts, starts)

@@ -109,6 +109,12 @@ class MultiLevelHierarchy:
         counters.stall_cycles += stall * (1.0 - self.hide)
         counters.compute_cycles += (n_accesses + batch.alu_ops) / self.ipc
 
+    def replay(self, batches) -> None:
+        """Run a run of batches (a recorded trace, or a table chunk from
+        a recorder), one :meth:`process` call per batch."""
+        for batch in batches:
+            self.process(batch)
+
     def _walk(self, granule: int, is_write: bool) -> int | None:
         """Access levels until one hits; fill all missing levels above.
 

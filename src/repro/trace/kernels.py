@@ -34,6 +34,29 @@ behaviour:
   the candidate-window overlap geometry.  ``tests/trace`` validates the
   collapsed emission against a literal per-candidate emission on small
   configurations.
+
+- **One call per macroblock row.**  :func:`encode_row` and
+  :func:`decode_row` build a whole row's batches -- each macroblock's
+  :func:`me_search`, :func:`mc_mb`, :func:`mb_texture` and
+  :func:`stream_write` batches, in that order, with the same lines,
+  counts, kinds and ALU counts -- from per-MB arrays (search work,
+  vectors, texture kind and event counts, bytes) and the same
+  templates, shifted per macroblock.  Macroblocks share a template
+  when their offsets modulo 32 agree, which repeats every two columns
+  (Y, search windows) or four (U and V), so a row's NumPy calls depend
+  on its emitter batches, not on its macroblocks, and it reaches the
+  recorder as one run-collapsed
+  :class:`~repro.memsim.events.BatchTable`.  Both kinds of emitter take
+  their counts from the same work-model helpers (:func:`_search_work`,
+  :func:`_texture_work`, :func:`_scaled_rows`, :func:`_sequential_runs`),
+  which work on one macroblock's scalars and a row's arrays alike, so
+  the cost model is written once.  The batched encoder and the
+  batched decoder's kernel-parsed rows call them once per row.  The
+  per-MB emitters stay as they are for everything else: the reference
+  engine (the oracle), the decoder's rows parsed in Python (hand-backs,
+  no parse kernel), arbitrary-shape VOPs and data-partitioned packets.
+  ``tests/trace/test_emitter_differential.py`` holds a row call to the
+  per-MB emitters called macroblock by macroblock.
 """
 
 from __future__ import annotations
@@ -43,7 +66,14 @@ import functools
 import numpy as np
 
 from repro.codec.framestore import BORDER
-from repro.memsim.events import GRANULE_BYTES, GRANULE_SHIFT
+from repro.memsim.events import (
+    GRANULE_BYTES,
+    GRANULE_SHIFT,
+    KIND_READ,
+    KIND_WRITE,
+    BatchTable,
+    collapse_runs,
+)
 from repro.memsim.prefetch import prefetch_stream
 from repro.trace import costmodel as cm
 from repro.trace.layout import FrameMap, LinearRegion, PlaneMap
@@ -92,27 +122,49 @@ def _sequential_lines(base: int, n_bytes: int):
     """Granule stream for a linear byte region, exact counts."""
     if n_bytes <= 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    first = base >> GRANULE_SHIFT
-    last = (base + n_bytes - 1) >> GRANULE_SHIFT
-    lines = np.arange(first, last + 1, dtype=np.int64)
-    counts = np.full(lines.size, GRANULE_BYTES, dtype=np.int64)
-    counts[0] = min(n_bytes, (first + 1) * GRANULE_BYTES - base)
-    if lines.size > 1:
-        counts[-1] = base + n_bytes - (last << GRANULE_SHIFT)
+    lines, counts, _ = _sequential_runs(
+        np.array([base], dtype=np.int64), np.array([n_bytes], dtype=np.int64)
+    )
     return lines, counts
+
+
+def _sequential_runs(starts: np.ndarray, n_bytes: np.ndarray):
+    """Granule runs of linear byte regions of ``n_bytes`` (all positive)
+    at ``starts``, back to back, and each region's run count."""
+    first = starts >> GRANULE_SHIFT
+    last = (starts + n_bytes - 1) >> GRANULE_SHIFT
+    sizes = last - first + 1
+    lines = _gather_runs(first, sizes)
+    ends = np.cumsum(sizes)
+    counts = np.full(lines.size, GRANULE_BYTES, dtype=np.int64)
+    counts[ends - 1] = starts + n_bytes - (last << GRANULE_SHIFT)
+    counts[ends - sizes] = np.minimum(n_bytes, ((first + 1) << GRANULE_SHIFT) - starts)
+    return lines, counts, sizes
+
+
+def _gather_runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Indices of the runs ``starts[i] : starts[i] + sizes[i]``, back to back."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1] if ends.size else 0)
 
 
 def _scaled_counts(lines, counts, total: int):
     """Rescale exact per-granule byte counts so they sum to ``total``."""
-    weight = counts.astype(np.float64)
+    return _scaled_rows(counts, np.array([total], dtype=np.int64))[0]
+
+
+def _scaled_rows(byte_counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """``byte_counts`` rescaled to sum to each of ``totals``, one row per
+    total: each count's share of the total, floored and at least one,
+    with what the floors leave out added to the first."""
+    weight = byte_counts.astype(np.float64)
     weight_sum = weight.sum()
     if weight_sum == 0:
-        return counts
-    scaled = np.floor(weight * (total / weight_sum)).astype(np.int64)
-    scaled = np.maximum(scaled, 1)
-    deficit = total - int(scaled.sum())
-    if deficit > 0:
-        scaled[0] += deficit
+        return np.repeat(byte_counts[None, :], totals.size, axis=0)
+    scaled = np.floor(weight * (totals / weight_sum)[:, None]).astype(np.int64)
+    np.maximum(scaled, 1, out=scaled)
+    deficit = totals - scaled.sum(axis=1)
+    scaled[:, 0] += np.maximum(deficit, 0)
     return scaled
 
 
@@ -390,16 +442,14 @@ def me_search(
     template_lines, row_of, column_weight, exhaustive_rows = _search_template(
         offset, plane.stride, span
     )
-
-    if search.row_coverage is not None and search.row_coverage.size == window:
-        row_weight = search.row_coverage
-        ref_total = search.ref_reads
-        cur_total = search.cur_reads + halfpel_evals * n * n
-    else:
-        # No work model: exhaustive search touches every candidate row.
-        row_weight = exhaustive_rows
-        ref_total = n_candidates * n * n
-        cur_total = (n_candidates + halfpel_evals) * n * n
+    valid = search.row_coverage is not None and search.row_coverage.size == window
+    row_weight = search.row_coverage if valid else exhaustive_rows
+    ref_total, cur_total, alu = (
+        int(value)
+        for value in _search_work(
+            valid, search.ref_reads, search.cur_reads, n_candidates, halfpel_evals
+        )
+    )
 
     # Per-granule totals: row weight x column weight, normalized to the
     # modelled read total.
@@ -420,12 +470,28 @@ def me_search(
         cur_fmap.y.base, cur_fmap.y.stride, BORDER + mb_y, BORDER + mb_x, n, n
     )
     cur_counts = _scaled_counts(cur_lines, cur_byte_counts, max(cur_total, 1))
-
-    pixel_pairs = ref_total if search.row_coverage is not None else n_candidates * n * n
-    alu = pixel_pairs * cm.SAD_ALU_PER_PIXEL + n_candidates * cm.ME_ALU_PER_CANDIDATE
-    alu += halfpel_evals * n * n * cm.HALFPEL_ALU_PER_PIXEL
     rec.emit_read(cur_lines, cur_counts)
     rec.emit_read(template_lines + (start >> GRANULE_SHIFT), ref_counts, alu_ops=alu)
+
+
+def _search_work(valid, ref_reads, cur_reads, candidates, halfpel_evals):
+    """:func:`me_search`'s work model: the window's and the current
+    block's read totals and the ALU count, of one search (scalars) or of
+    a row's (per-MB arrays).
+
+    Without a valid window-row coverage (none, or of the wrong size) the
+    search is taken as exhaustive: every candidate reads its 256 pixels.
+    """
+    pixels = MB_SIZE * MB_SIZE
+    exhaustive = candidates * pixels
+    ref_total = np.where(valid, ref_reads, exhaustive)
+    cur_total = np.where(valid, cur_reads, exhaustive) + halfpel_evals * pixels
+    alu = (
+        ref_total * cm.SAD_ALU_PER_PIXEL
+        + candidates * cm.ME_ALU_PER_CANDIDATE
+        + halfpel_evals * (pixels * cm.HALFPEL_ALU_PER_PIXEL)
+    )
+    return ref_total, cur_total, alu
 
 
 @functools.lru_cache(maxsize=1024)
@@ -513,56 +579,58 @@ def mb_texture(
         # Read the six source blocks (DCT input + residual computation).
         rec.emit_read(*_mb_lines(cur_fmap, mb_y, mb_x, reads=2))
 
-    pipeline_blocks = 6 if encode else max(n_coded_blocks, 1)
-    mb_pixels = MB_SIZE * MB_SIZE + 2 * 64
-    if encode:
-        scratch_loads = (
-            pipeline_blocks * cm.SCRATCH_LOADS_PER_BLOCK_ENC
-            + n_events * 4
-            + mb_pixels * cm.ENC_PIPELINE_LOADS_PER_PIXEL
-        )
-        scratch_stores = (
-            pipeline_blocks * cm.SCRATCH_STORES_PER_BLOCK_ENC
-            + n_events * 2
-            + mb_pixels * cm.ENC_PIPELINE_STORES_PER_PIXEL
-        )
-    else:
-        scratch_loads = (
-            pipeline_blocks * cm.SCRATCH_LOADS_PER_BLOCK_DEC
-            + n_events * cm.SCRATCH_LOADS_PER_EVENT_DEC
-            + cm.MB_OVERHEAD_ACCESSES
-            + mb_pixels * cm.DEC_PIPELINE_LOADS_PER_PIXEL
-        )
-        scratch_stores = (
-            pipeline_blocks * cm.SCRATCH_STORES_PER_BLOCK_DEC
-            + n_events * 2
-            + mb_pixels * cm.DEC_PIPELINE_STORES_PER_PIXEL
-        )
+    blocks = 6 if encode else max(n_coded_blocks, 1)
+    scratch_loads, scratch_stores, alu = _texture_work(encode, intra, blocks, n_events)
     scratch = _scratch_region(rec)
     rec.emit_read(*_scratch_runs(*scratch, scratch_loads))
     rec.emit_write(*_scratch_runs(*scratch, scratch_stores))
 
     # Reconstruction write-back into the frame store.
     rec.emit_write(*_mb_lines(recon_fmap, mb_y, mb_x))
+    rec.emit_alu(alu)
 
-    coeffs = 64 * pipeline_blocks
-    alu = pipeline_blocks * cm.DCT_ALU_PER_BLOCK
+
+def _texture_work(encode: bool, intra, blocks, n_events):
+    """:func:`mb_texture`'s work model: scratch loads, scratch stores and
+    the ALU count of a macroblock whose pipeline runs ``blocks`` blocks
+    (all six on encode) and codes ``n_events`` events, for one
+    macroblock (scalars) or a row's (per-MB arrays).  ``intra`` adds the
+    decoder's DC prediction bookkeeping.
+    """
+    mb_pixels = MB_SIZE * MB_SIZE + 2 * 64
     if encode:
-        alu += pipeline_blocks * cm.DCT_ALU_PER_BLOCK  # recon IDCT
-        alu += coeffs * (cm.QUANT_ALU_PER_COEFF + cm.ZIGZAG_ALU_PER_COEFF)
-        alu += n_events * cm.VLC_ALU_PER_EVENT
-    else:
-        alu += coeffs * (cm.QUANT_ALU_PER_COEFF + cm.ZIGZAG_ALU_PER_COEFF)
-        alu += n_events * cm.VLC_DEC_ALU_PER_EVENT
-    alu += (MB_SIZE * MB_SIZE + 128) * cm.RECON_ALU_PER_PIXEL
-    if encode:
+        loads = (
+            blocks * cm.SCRATCH_LOADS_PER_BLOCK_ENC
+            + n_events * 4
+            + mb_pixels * cm.ENC_PIPELINE_LOADS_PER_PIXEL
+        )
+        stores = (
+            blocks * cm.SCRATCH_STORES_PER_BLOCK_ENC
+            + n_events * 2
+            + mb_pixels * cm.ENC_PIPELINE_STORES_PER_PIXEL
+        )
+        # Forward DCT and the reconstruction's IDCT.
+        alu = 2 * blocks * cm.DCT_ALU_PER_BLOCK + n_events * cm.VLC_ALU_PER_EVENT
         pipeline_per_pixel = cm.ENC_PIPELINE_LOADS_PER_PIXEL + cm.ENC_PIPELINE_STORES_PER_PIXEL
     else:
+        loads = (
+            blocks * cm.SCRATCH_LOADS_PER_BLOCK_DEC
+            + n_events * cm.SCRATCH_LOADS_PER_EVENT_DEC
+            + cm.MB_OVERHEAD_ACCESSES
+            + mb_pixels * cm.DEC_PIPELINE_LOADS_PER_PIXEL
+        )
+        stores = (
+            blocks * cm.SCRATCH_STORES_PER_BLOCK_DEC
+            + n_events * 2
+            + mb_pixels * cm.DEC_PIPELINE_STORES_PER_PIXEL
+        )
+        alu = blocks * cm.DCT_ALU_PER_BLOCK + n_events * cm.VLC_DEC_ALU_PER_EVENT
+        alu += 64 * blocks * intra  # DC prediction bookkeeping
         pipeline_per_pixel = cm.DEC_PIPELINE_LOADS_PER_PIXEL + cm.DEC_PIPELINE_STORES_PER_PIXEL
+    alu += 64 * blocks * (cm.QUANT_ALU_PER_COEFF + cm.ZIGZAG_ALU_PER_COEFF)
+    alu += (MB_SIZE * MB_SIZE + 128) * cm.RECON_ALU_PER_PIXEL
     alu += int(mb_pixels * pipeline_per_pixel * cm.PIPELINE_ALU_PER_ACCESS)
-    if intra and not encode:
-        alu += 64 * pipeline_blocks  # DC prediction bookkeeping
-    rec.emit_alu(alu)
+    return loads, stores, alu
 
 
 def _mb_lines(fmap: FrameMap, mb_y: int, mb_x: int, extra: int = 0, reads: int = 1):
@@ -641,6 +709,363 @@ def _scratch_lines(base: int, size: int):
     lines.flags.writeable = False
     counts.flags.writeable = False
     return lines, counts
+
+
+# -- macroblock-row kernels --------------------------------------------------------
+
+#: A macroblock's texture in a row emission: none (skipped), intra, inter.
+TEXTURE_NONE, TEXTURE_INTRA, TEXTURE_INTER = range(3)
+
+#: Set bits of every 6-bit coded-block pattern.
+_CBP_BLOCKS = np.array([bin(cbp).count("1") for cbp in range(64)], dtype=np.int64)
+
+
+def coded_blocks(cbp) -> np.ndarray:
+    """Coded blocks of each 6-bit coded-block pattern in ``cbp``."""
+    return _CBP_BLOCKS[np.asarray(cbp, dtype=np.int64)]
+
+
+def encode_row(
+    rec,
+    stream_region: LinearRegion,
+    row: int,
+    n_bytes,
+    cur_fmap: FrameMap,
+    recon_fmap: FrameMap,
+    search_range: int,
+    searches,
+    compensations,
+    texture,
+) -> None:
+    """One encoded macroblock row, as the per-MB emitters emit it.
+
+    Per macroblock, in this order: :func:`me_search` for each reference
+    searched, :func:`mc_mb` for each reference compensated from,
+    :func:`mb_texture` (``*_enc``) unless the macroblock was skipped,
+    and :func:`stream_write` of its bytes.
+
+    - ``n_bytes``: each macroblock's bytes (the stream cursor advances
+      by them even on a row band sampling skips);
+    - ``searches``: ``(ref_fmap, reads, candidates, evaluated, coverage,
+      cover_rows)`` per reference, each a per-MB array: the search work
+      model :func:`me_search` reads from a ``SearchResult`` (``reads`` is
+      both its reference and current reads, ``evaluated`` the half-pel
+      evaluations, ``coverage`` a row of window-row coverage per MB,
+      valid in its first ``cover_rows`` entries);
+    - ``compensations``: ``(ref_fmap, halfpel, used)`` per reference:
+      each MB's ``dx | dy`` and whether it is compensated from it;
+    - ``texture``: per-MB ``(kinds, n_coded_blocks, n_events)``, kinds
+      being :data:`TEXTURE_NONE`, :data:`TEXTURE_INTRA` or
+      :data:`TEXTURE_INTER`.
+    """
+    starts = [stream_region.advance(size) for size in n_bytes if size > 0]
+    if not rec.active:
+        return
+    n = len(n_bytes)
+    builder = _RowBuilder(n)
+    mb_y = row * MB_SIZE
+    for ref_fmap, *work in searches:
+        _add_search(
+            builder, ref_fmap, cur_fmap, mb_y, search_range,
+            *(np.asarray(column, dtype=np.int64) for column in work),
+        )
+    for ref_fmap, halfpel, used in compensations:
+        _add_compensation(builder, ref_fmap, mb_y, halfpel, used)
+    _add_texture(rec, builder, True, cur_fmap, recon_fmap, mb_y, *texture)
+    sizes = np.asarray(n_bytes, dtype=np.int64)
+    _add_stream(builder, np.flatnonzero(sizes > 0), np.array(starts, dtype=np.int64),
+                sizes[sizes > 0])
+    builder.emit(rec)
+
+
+def decode_row(rec, row: int, recon_fmap: FrameMap, compensations, texture) -> None:
+    """One decoded macroblock row, as the per-MB emitters emit it.
+
+    Per macroblock: :func:`mc_mb` for each reference it predicts from
+    (``compensations`` as for :func:`encode_row`; a skipped macroblock's
+    zero vector included), then :func:`mb_texture` (``*_dec``) unless it
+    was skipped (``texture`` as for :func:`encode_row`).
+    """
+    if not rec.active:
+        return
+    builder = _RowBuilder(len(texture[0]))
+    mb_y = row * MB_SIZE
+    for ref_fmap, halfpel, used in compensations:
+        _add_compensation(builder, ref_fmap, mb_y, halfpel, used)
+    _add_texture(rec, builder, False, None, recon_fmap, mb_y, *texture)
+    builder.emit(rec)
+
+
+class _RowBuilder:
+    """The batches of one macroblock row, emitter batch by emitter batch.
+
+    Each batch a per-MB emitter sends is a *slot*, numbered by
+    :meth:`slot` in the order the per-MB emitters send them; :meth:`add`
+    takes a slot's batches for some of the row's macroblocks (flat event
+    arrays and per-batch sizes).  :meth:`table` lays them out macroblock
+    by macroblock, each macroblock's batches in slot order, and
+    run-collapses them.
+    """
+
+    def __init__(self, n_mbs: int) -> None:
+        self.n_mbs = n_mbs
+        self.n_slots = 0
+        self._parts: list[tuple] = []
+
+    def slot(self) -> int:
+        self.n_slots += 1
+        return self.n_slots - 1
+
+    def add(self, slot, kind, mbs, alu_ops, lines, counts, sizes=None) -> None:
+        """Batches of ``slot``: a ``kind`` batch of ``sizes[i]`` events
+        and ``alu_ops[i]`` ALU operations for each macroblock ``mbs[i]``.
+        Without ``sizes``, ``lines`` and ``counts`` are ``(len(mbs), L)``,
+        one row per batch."""
+        if sizes is None:
+            sizes = np.full(mbs.size, lines.shape[1], dtype=np.int64)
+            lines, counts = lines.ravel(), counts.ravel()
+        self._parts.append((slot, kind, mbs, alu_ops, lines, counts, sizes))
+
+    def emit(self, rec) -> None:
+        """Hand the row to the recorder's sinks as one table (a row
+        without batches emits nothing)."""
+        table = self.table(rec.phase)
+        if len(table):
+            rec.emit_table(table)
+
+    def table(self, phase: str) -> BatchTable:
+        slots, kinds, mbs, alu_ops, lines, counts, sizes = zip(*self._parts)
+        per_part = [part.size for part in mbs]
+        keys = np.concatenate(mbs) * self.n_slots + np.repeat(slots, per_part)
+        order = np.argsort(keys, kind="stable")
+        sizes = np.concatenate(sizes)
+        first = np.cumsum(sizes) - sizes
+        sizes = sizes[order]
+        gather = _gather_runs(first[order], sizes)
+        lines = np.concatenate(lines)[gather]
+        counts = np.concatenate(counts)[gather]
+        n_events, sizes = collapse_runs(lines, counts, sizes)
+        bounds = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        return BatchTable.of_columns(
+            lines[:n_events],
+            counts[:n_events],
+            bounds,
+            np.repeat(kinds, per_part)[order],
+            np.concatenate(alu_ops)[order],
+            np.zeros(sizes.size, dtype=np.int64),
+            [phase],
+        )
+
+
+def _add_search(
+    builder, ref_fmap, cur_fmap, mb_y, search_range,
+    reads, candidates, evaluated, coverage, cover_rows,
+) -> None:
+    """:func:`me_search` for every macroblock of the row: the current
+    block's read, then the window's."""
+    n = MB_SIZE
+    span = 2 * search_range + 1
+    window = span + n - 1
+    cols = np.arange(builder.n_mbs, dtype=np.int64)
+    valid = cover_rows == window
+    ref_total, cur_total, alu = _search_work(valid, reads, reads, candidates, evaluated)
+    cur_total = np.maximum(cur_total, 1)
+    # Block and window offsets modulo 32 alternate from column to column,
+    # so the even and the odd columns each share one template.
+    phases = [mbs for mbs in (cols[0::2], cols[1::2]) if mbs.size]
+
+    cur = cur_fmap.y
+    cur_slot = builder.slot()
+    cur_start = cur.base + (BORDER + mb_y) * cur.stride + BORDER + n * cols
+    for mbs in phases:
+        start = cur_start[mbs]
+        lines, byte_counts = _granule_template(
+            int(start[0]) & (GRANULE_BYTES - 1), cur.stride, n, n
+        )
+        builder.add(
+            cur_slot, KIND_READ, mbs, np.zeros(mbs.size, dtype=np.int64),
+            lines + (start >> GRANULE_SHIFT)[:, None],
+            _scaled_rows(byte_counts, cur_total[mbs]),
+        )
+
+    plane = ref_fmap.y
+    window_slot = builder.slot()
+    start = (
+        plane.base + (BORDER + mb_y - search_range) * plane.stride
+        + BORDER - search_range + n * cols
+    )
+    with_coverage = valid.any() and coverage.shape[1] >= window
+    for mbs in phases:
+        offset = int(start[mbs[0]]) & (GRANULE_BYTES - 1)
+        template_lines, row_of, column_weight, exhaustive_rows = _search_template(
+            offset, plane.stride, span
+        )
+        if with_coverage:
+            row_weight = np.where(valid[mbs, None], coverage[mbs, :window], exhaustive_rows)
+            weights = row_weight[:, row_of] * column_weight
+            total_weight = weights.sum(axis=1)
+        else:
+            weights = (exhaustive_rows[row_of] * column_weight)[None, :]
+            total_weight = np.full(mbs.size, weights.sum())
+        # Per-granule totals: row weight x column weight, normalized to
+        # the modelled read total (the per-MB float expression).
+        scale = ref_total[mbs] / np.maximum(total_weight, 1)
+        ref_counts = (weights * scale[:, None]).astype(np.int64)
+        np.maximum(ref_counts, 1, out=ref_counts)
+        ref_counts[total_weight == 0] = 1
+        # Half-pel refinement re-reads the winner's neighbourhood.
+        group_evaluated = evaluated[mbs]
+        ref_counts += _halfpel_table(
+            offset, plane.stride, span, max(int(group_evaluated.max()), 8)
+        )[group_evaluated]
+        builder.add(
+            window_slot, KIND_READ, mbs, alu[mbs],
+            template_lines + (start[mbs] >> GRANULE_SHIFT)[:, None], ref_counts,
+        )
+
+
+@functools.lru_cache(maxsize=256)
+def _halfpel_table(offset: int, stride: int, span: int, max_evaluated: int):
+    """:func:`_halfpel_counts` for 0 .. ``max_evaluated`` half-pel
+    evaluations, one row each (row 0 all zero), read-only."""
+    window = span + MB_SIZE - 1
+    lines, _ = _granule_template(offset, stride, window, window)
+    table = np.zeros((max_evaluated + 1, lines.size), dtype=np.int64)
+    for evaluated in range(1, max_evaluated + 1):
+        table[evaluated] = _halfpel_counts(offset, stride, span, evaluated * MB_SIZE**2 * 2)
+    table.flags.writeable = False
+    return table
+
+
+def _add_compensation(builder, ref_fmap, mb_y, halfpel, used) -> None:
+    """:func:`mc_mb` from one reference for the macroblocks ``used``."""
+    mbs = np.flatnonzero(used)
+    extra = np.asarray(halfpel, dtype=np.int64)[mbs] & 1
+    pixels = MB_SIZE * MB_SIZE + 2 * 64
+    alu = np.where(
+        extra == 1, pixels * cm.MC_ALU_PER_PIXEL_HALF, pixels * cm.MC_ALU_PER_PIXEL_FULL
+    )
+    _add_mb_blocks(builder, builder.slot(), KIND_READ, ref_fmap, mb_y, mbs, alu, extra, (1, 2))
+
+
+def _add_mb_blocks(builder, slot, kind, fmap, mb_y, mbs, alu, extra, reads) -> None:
+    """:func:`_mb_lines` of macroblocks ``mbs``: each one's Y, U and V
+    blocks, ``extra[i]`` (0 or 1) pixels wider and taller, each count
+    multiplied by ``reads[extra[i]]``."""
+    y, u, v = fmap.y, fmap.u, fmap.v
+    cy = BORDER + mb_y // 2
+    row_starts = (
+        y.base + (BORDER + mb_y) * y.stride + BORDER,
+        u.base + cy * u.stride + BORDER,
+        v.base + cy * v.stride + BORDER,
+    )
+    pool_lines, pool_counts, pool_plane, pool_start, pool_size = _mb_row_pool(
+        tuple(start & (GRANULE_BYTES - 1) for start in row_starts),
+        (y.stride, u.stride, v.stride),
+        reads,
+    )
+    # Plane offsets modulo 32 repeat every four macroblocks, which move
+    # the Y block two granules and the U and V blocks one.
+    key = (mbs & 3) + 4 * extra
+    sizes = pool_size[key]
+    gather = _gather_runs(pool_start[key], sizes)
+    planes = pool_plane[gather]
+    shift = np.array([start >> GRANULE_SHIFT for start in row_starts])[planes]
+    shift += np.repeat(mbs >> 2, sizes) * _QUAD_GRANULES[planes]
+    builder.add(slot, kind, mbs, alu, pool_lines[gather] + shift, pool_counts[gather], sizes)
+
+
+#: Granules a plane's macroblock blocks move every four macroblocks (Y, U, V).
+_QUAD_GRANULES = np.array([2, 1, 1], dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=256)
+def _mb_row_pool(offsets: tuple, strides: tuple, reads: tuple):
+    """Runs of a row's macroblock blocks by column phase and block growth.
+
+    ``offsets`` are the row's Y, U and V starts modulo 32.  Template
+    ``phase + 4 * extra`` holds the :func:`_mb_template` runs of a
+    macroblock in column ``phase`` (mod 4), ``extra`` pixels grown, counts
+    times ``reads[extra]``, its lines relative to the row's start granule
+    in each plane.  Returns read-only ``(lines, counts, plane_of, start,
+    size)``: the templates back to back and where each one is.
+    """
+    parts = []
+    for extra, multiplier in enumerate(reads):
+        for phase in range(4):
+            block_starts = [
+                offset + phase * width
+                for offset, width in zip(offsets, (MB_SIZE, 8, 8))
+            ]
+            lines, counts, plane_of = _mb_template(
+                tuple(start & (GRANULE_BYTES - 1) for start in block_starts),
+                strides, extra, multiplier,
+            )
+            carry = np.array([start >> GRANULE_SHIFT for start in block_starts])
+            parts.append((lines + carry[plane_of], counts, plane_of))
+    size = np.array([part[0].size for part in parts], dtype=np.int64)
+    pool = (
+        *(np.concatenate([part[i] for part in parts]) for i in range(3)),
+        np.cumsum(size) - size,
+        size,
+    )
+    for array in pool:
+        array.flags.writeable = False
+    return pool
+
+
+def _add_texture(
+    rec, builder, encode, cur_fmap, recon_fmap, mb_y, kinds, n_coded_blocks, n_events
+) -> None:
+    """:func:`mb_texture` for the row's macroblocks that have texture."""
+    kinds = np.asarray(kinds, dtype=np.int64)
+    mbs = np.flatnonzero(kinds != TEXTURE_NONE)
+    no_alu = np.zeros(mbs.size, dtype=np.int64)
+    no_extra = no_alu
+    if encode and cur_fmap is not None:
+        # Read the six source blocks (DCT input + residual computation).
+        _add_mb_blocks(
+            builder, builder.slot(), KIND_READ, cur_fmap, mb_y, mbs, no_alu, no_extra, (2,)
+        )
+    if encode:
+        blocks = np.full(mbs.size, 6, dtype=np.int64)
+    else:
+        blocks = np.maximum(np.asarray(n_coded_blocks, dtype=np.int64)[mbs], 1)
+    loads, stores, alu = _texture_work(
+        encode,
+        kinds[mbs] == TEXTURE_INTRA,
+        blocks,
+        np.asarray(n_events, dtype=np.int64)[mbs],
+    )
+    scratch_lines, scratch_bytes = _scratch_lines(*_scratch_region(rec))
+    all_scratch = np.tile(scratch_lines, mbs.size)
+    sizes = np.full(mbs.size, scratch_lines.size, dtype=np.int64)
+    for kind, totals in ((KIND_READ, loads), (KIND_WRITE, stores)):
+        builder.add(
+            builder.slot(), kind, mbs, no_alu, all_scratch,
+            _scaled_rows(scratch_bytes, totals).ravel(), sizes,
+        )
+
+    # Reconstruction write-back into the frame store.
+    _add_mb_blocks(
+        builder, builder.slot(), KIND_WRITE, recon_fmap, mb_y, mbs, no_alu, no_extra, (1,)
+    )
+    builder.add(
+        builder.slot(), KIND_READ, mbs, alu, _NO_RUNS, _NO_RUNS, np.zeros(mbs.size, dtype=np.int64)
+    )
+
+
+#: The runs of a compute-only batch.
+_NO_RUNS = np.zeros(0, dtype=np.int64)
+
+
+def _add_stream(builder, mbs, starts, n_bytes) -> None:
+    """:func:`stream_write` of ``n_bytes`` (all positive) at ``starts``."""
+    lines, counts, sizes = _sequential_runs(starts, n_bytes)
+    builder.add(
+        builder.slot(), KIND_WRITE, mbs, n_bytes * cm.STREAM_ALU_PER_BYTE, lines, counts, sizes
+    )
 
 
 # -- bitstream kernels ------------------------------------------------------------

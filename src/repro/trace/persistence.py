@@ -16,6 +16,14 @@ what-if sweeps:
 
     replay_trace("encode-720p.npz", [machine.build_hierarchy()])
 
+:class:`TraceCapture` is a columnar sink: like every sink it takes a
+macroblock row as one table (``replay``) and a single batch alone
+(``process``), and it keeps both as columns in emit order -- events in
+fixed-size slabs, per-batch kinds, ALU counts and phase ids in lists.
+:meth:`TraceCapture.table` folds them into one run-collapsed table, and
+:func:`replay_trace` hands each sink the loaded table in one ``replay``
+call.
+
 The on-disk format is a single compressed ``.npz`` holding the columns of
 a :class:`~repro.memsim.events.BatchTable` (format version 2): ``lines``
 and ``counts`` (every run-collapsed event, back to back), ``bounds``
@@ -40,6 +48,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import mmap
 import os
 import pickle
 import shutil
@@ -57,7 +66,7 @@ from repro.core.runner.chaos import (
     chaos_from_env,
 )
 from repro.ioutil import atomic_write
-from repro.memsim.events import AccessBatch, BatchTable
+from repro.memsim.events import AccessBatch, BatchTable, fold_pieces
 
 FORMAT_VERSION = 2
 
@@ -65,32 +74,110 @@ FORMAT_VERSION = 2
 CACHE_ENV = "REPRO_TRACE_CACHE"
 
 
+#: Events a capture slab holds.
+SLAB_EVENTS = 1 << 19
+
+
 class TraceCapture:
-    """A recorder sink that accumulates batches for saving or replay."""
+    """A recorder sink that keeps the recording as columns, in emit order.
+
+    Events are copied into slabs, fixed-size int64 arrays of lines and
+    counts, and each batch's event count, kind, ALU count and phase id
+    into lists: a table the recorder hands over for a macroblock row
+    (:meth:`replay`) and a single batch (:meth:`process`) alike.
+    :meth:`table` folds the slabs into one run-collapsed
+    :class:`~repro.memsim.events.BatchTable`, letting go of each slab as
+    it is folded in, so the fold adds about one slab to the recording's
+    memory rather than a second copy of it.
+    """
 
     def __init__(self) -> None:
-        self.batches: list[AccessBatch] = []
+        self._clear()
+
+    def _clear(self) -> None:
+        self._slabs: list[tuple[np.ndarray, np.ndarray]] = []
+        self._slab_used: list[int] = []
+        self._slab_batches: list[int] = []
+        self._sizes: list[int] = []
+        self._kinds: list[int] = []
+        self._alu_ops: list[int] = []
+        self._phase_ids: list[int] = []
+        self._phases: dict[str, int] = {}
+
+    def _keep(self, lines: np.ndarray, counts: np.ndarray, n_batches: int) -> None:
+        """Copy ``n_batches`` whole batches' events into the last slab,
+        or into a new one when they do not fit."""
+        n = lines.size
+        if not self._slabs or self._slab_used[-1] + n > self._slabs[-1][0].size:
+            # A slab is a private anonymous mapping of its own: the pages it
+            # never touches cost nothing, and once folded in it goes back
+            # to the system whatever the allocator's thresholds.
+            size = max(n, SLAB_EVENTS)
+            mapping = mmap.mmap(-1, 16 * size, flags=mmap.MAP_PRIVATE)
+            self._slabs.append(tuple(np.frombuffer(mapping, dtype=np.int64).reshape(2, size)))
+            self._slab_used.append(0)
+            self._slab_batches.append(0)
+        slab_lines, slab_counts = self._slabs[-1]
+        at = self._slab_used[-1]
+        slab_lines[at : at + n] = lines
+        slab_counts[at : at + n] = counts
+        self._slab_used[-1] = at + n
+        self._slab_batches[-1] += n_batches
 
     def process(self, batch: AccessBatch) -> None:
-        self.batches.append(batch)
+        """Keep one batch."""
+        self._keep(batch.lines, batch.counts, 1)
+        self._sizes.append(batch.lines.size)
+        self._kinds.append(batch.kind)
+        self._alu_ops.append(batch.alu_ops)
+        self._phase_ids.append(self._phases.setdefault(batch.phase, len(self._phases)))
+
+    def replay(self, table: BatchTable) -> None:
+        """Keep a table's batches (a row the recorder emitted in one call)."""
+        self._keep(table.lines, table.counts, len(table))
+        self._sizes.extend(np.diff(table.bounds).tolist())
+        self._kinds.extend(table.kinds.tolist())
+        self._alu_ops.extend(table.alu_ops.tolist())
+        ids = [self._phases.setdefault(name, len(self._phases)) for name in table.phase_names]
+        self._phase_ids.extend(np.take(ids, table.phase_ids).tolist())
 
     @property
     def n_events(self) -> int:
-        return sum(batch.n_events for batch in self.batches)
+        return sum(self._slab_used)
 
     def table(self) -> BatchTable:
-        """Fold the captured batches into a table, emptying the capture.
-
-        Each batch is let go as soon as the build has folded it in, so
-        the recording is never held twice.
-        """
-        batches, self.batches = self.batches, []
-        batches.reverse()
-        return BatchTable(batches.pop() for _ in range(len(batches)))
+        """Fold the capture into one run-collapsed table, emptying it."""
+        kept = self._kept()
+        self._clear()
+        return _fold(*kept)
 
     def save(self, path: str | Path) -> None:
-        """Write the captured batches, as one table, to a compressed ``.npz``."""
-        save_table(BatchTable(self.batches), path)
+        """Write the capture, as one table, to a compressed ``.npz``; the
+        capture keeps its contents."""
+        save_table(_fold(*self._kept()), path)
+
+    def _kept(self):
+        """What :func:`_fold` needs: the slabs' filled parts, the batches
+        each holds, and the per-batch columns."""
+        return (
+            [
+                (lines[:used], counts[:used])
+                for (lines, counts), used in zip(self._slabs, self._slab_used)
+            ],
+            np.array(self._slab_batches, dtype=np.int64),
+            np.array(self._sizes, dtype=np.int64),
+            np.array(self._kinds, dtype=np.int64),
+            np.array(self._alu_ops, dtype=np.int64),
+            np.array(self._phase_ids, dtype=np.int64),
+            list(self._phases),
+        )
+
+
+def _fold(pieces, piece_batches, sizes, kinds, alu_ops, phase_ids, phase_names) -> BatchTable:
+    """A capture's table; releases each entry of ``pieces`` once folded in."""
+    return BatchTable.of_columns(
+        *fold_pieces(pieces, piece_batches, sizes), kinds, alu_ops, phase_ids, phase_names
+    )
 
 
 #: The ``.npz`` arrays of a saved :class:`~repro.memsim.events.BatchTable`.
@@ -120,13 +207,12 @@ def load_trace(path: str | Path) -> BatchTable:
 
 
 def replay_trace(path: str | Path, sinks) -> int:
-    """Replay a saved trace into simulator sinks; returns batches replayed."""
-    count = 0
-    for batch in load_trace(path):
-        for sink in sinks:
-            sink.process(batch)
-        count += 1
-    return count
+    """Replay a saved trace into simulator sinks, each in one
+    :meth:`replay` call; returns the number of batches replayed."""
+    table = load_trace(path)
+    for sink in sinks:
+        sink.replay(table)
+    return len(table)
 
 
 # -- record-once / replay-many cache -----------------------------------------

@@ -3,10 +3,18 @@
 The recorder sits between the instrumented codec and one or more simulated
 memory hierarchies.  Codec kernels call the emitters in
 :mod:`repro.trace.kernels`, which translate (buffer, coordinates) into
-granule streams and hand them to :meth:`TraceRecorder.emit`; the recorder
-attaches the current phase label and forwards the batch to every sink.
+granule streams and hand them to the recorder; the recorder attaches the
+current phase label and forwards them to every sink.
 The codec reaches the emitters through the recorder it is handed
 (:attr:`TraceRecorder.kernels`), so it never imports this package.
+
+A sink takes a run of batches as one
+:class:`~repro.memsim.events.BatchTable` through ``replay(table)`` (a
+macroblock row, :meth:`TraceRecorder.emit_table`) and a single
+:class:`~repro.memsim.events.AccessBatch` through ``process(batch)``
+(:meth:`TraceRecorder.emit`: the per-VOP emitters and the per-MB hooks).
+Every memory hierarchy, the N-level stack and
+:class:`~repro.trace.persistence.TraceCapture` have both.
 
 Sampling: tracing multi-megapixel video exactly is feasible but slow, so
 the recorder supports *band sampling* -- trace a contiguous band of
@@ -30,6 +38,7 @@ from repro.memsim.events import (
     KIND_READ,
     KIND_WRITE,
     AccessBatch,
+    BatchTable,
 )
 from repro.trace import kernels
 from repro.trace.layout import AddressSpace, FrameMap, LinearRegion
@@ -65,7 +74,6 @@ class BandSampling:
             raise ValueError("row_fraction must be in (0, 1]")
         if self.max_vops is not None and self.max_vops < 1:
             raise ValueError("max_vops must be positive")
-        self._rows_limit: dict[int, int] = {}
 
     def trace_vop(self, coded_index: int, vop_type: str) -> bool:
         return self.max_vops is None or coded_index < self.max_vops
@@ -172,6 +180,14 @@ class TraceRecorder:
         for sink in self.sinks:
             sink.process(batch)
 
+    def emit_table(self, table: BatchTable) -> None:
+        """Forward a run of batches (a macroblock row) to every sink's
+        :meth:`replay` (no-op when sampling is inactive)."""
+        if not self.active:
+            return
+        for sink in self.sinks:
+            sink.replay(table)
+
     def emit_read(self, lines, counts, alu_ops: int = 0) -> None:
         self.emit(KIND_READ, lines, counts, alu_ops)
 
@@ -183,5 +199,9 @@ class TraceRecorder:
 
     def emit_alu(self, alu_ops: int) -> None:
         """Charge compute-only work (no memory events)."""
-        empty = np.zeros(0, dtype=np.int64)
-        self.emit(KIND_READ, empty, empty, alu_ops)
+        self.emit(KIND_READ, _NO_EVENTS, _NO_EVENTS, alu_ops)
+
+
+#: The event arrays of a compute-only batch.
+_NO_EVENTS = np.zeros(0, dtype=np.int64)
+_NO_EVENTS.flags.writeable = False

@@ -21,6 +21,7 @@ import pytest
 from repro.codec import CodecConfig, VopDecoder, VopEncoder
 from repro.codec.engine import ENGINE_BATCHED, ENGINE_ENV, ENGINE_REFERENCE, IDCT_ENV
 from repro.video import SceneSpec, SyntheticScene
+from repro.video.yuv import YuvFrame
 
 WIDTH, HEIGHT = 96, 64
 
@@ -179,56 +180,125 @@ class TestDecoderDifferential:
         assert_stats_equal(reference.vop_stats, batched.vop_stats)
 
 
+def shaped_frames(n, width, height, seed=3):
+    """A static scene frame under fresh noise, with one flat block whose
+    level flips every frame: P-VOPs code it intra, and at qp 31 without
+    half-pel P- and B-VOPs skip much of the rest."""
+    base = scene_frames(1, width, height)[0]
+    rng = np.random.default_rng(seed)
+    frames = []
+    for index in range(n):
+        y = base.y.astype(np.int16) + rng.integers(-3, 4, base.y.shape)
+        x0 = 16 * (index % 3)
+        y[16:32, x0 : x0 + 16] = (20, 235)[index % 2]
+        frames.append(
+            YuvFrame(np.clip(y, 0, 255).astype(np.uint8), base.u.copy(), base.v.copy())
+        )
+    return frames
+
+
+#: Traced configurations: ``(width, height, knobs, sampling, frames)``.
+#: Widths 96, 112 and 176 put macroblock rows at different plane offsets
+#: modulo 32; M runs 1-3, half-pel and resync markers on and off, a
+#: search range past the border clamps windows, and qp 2 and 31 with
+#: :func:`shaped_frames` give P-VOPs intra and skipped macroblocks and
+#: B-VOPs skipped ones.
+TRACE_CASES = [
+    (96, 64, dict(qp=8, gop_size=4, m_distance=2), None, scene_frames),
+    (
+        112, 48, dict(qp=2, gop_size=6, m_distance=3, resync_markers=True),
+        (0.5, None), shaped_frames,
+    ),
+    (
+        176, 48, dict(qp=31, gop_size=3, m_distance=1, use_half_pel=False),
+        (0.5, 3), shaped_frames,
+    ),
+    (112, 64, dict(qp=31, gop_size=5, m_distance=3, search_range=20), None, scene_frames),
+    (
+        96, 48,
+        dict(qp=31, gop_size=4, m_distance=2, use_half_pel=False, resync_markers=True,
+             search_range=18),
+        (0.5, 4), shaped_frames,
+    ),
+]
+
+
+def assert_same_table(actual, expected):
+    for name in ("lines", "counts", "bounds", "kinds", "alu_ops", "phase_ids"):
+        np.testing.assert_array_equal(getattr(actual, name), getattr(expected, name), name)
+    assert actual.phase_names == expected.phase_names
+
+
 class TestTraceDifferential:
-    """The trace stream feeds the paper's cache model; batching must not
-    change a single counter."""
+    """The trace stream feeds the paper's cache model: the batched
+    engine's row emitters must record the per-MB engine's table, column
+    for column."""
 
     @staticmethod
-    def _snapshot(hierarchy):
-        return {
-            "total": dataclasses.asdict(hierarchy.total),
-            "phases": {
-                name: dataclasses.asdict(c) for name, c in hierarchy.phases.items()
-            },
-        }
+    def _recorder(sampling):
+        from repro.trace import BandSampling, TraceCapture, TraceRecorder
 
-    def _traced_encode(self, config, frames, value):
-        from repro.core.machines import SGI_O2
-        from repro.trace import TraceRecorder
+        capture = TraceCapture()
+        policy = None if sampling is None else BandSampling(*sampling)
+        return TraceRecorder([capture], policy), capture
 
+    def _traced_encode(self, config, frames, sampling, value):
+        recorder, capture = self._recorder(sampling)
         with engine(value):
-            hierarchy = SGI_O2.build_hierarchy()
-            encoded = VopEncoder(config, TraceRecorder([hierarchy])).encode_sequence(
-                frames
-            )
-        return encoded, self._snapshot(hierarchy)
+            encoded = VopEncoder(config, recorder).encode_sequence(frames)
+        return encoded, capture.table()
 
-    def _traced_decode(self, data, value):
-        from repro.core.machines import SGI_O2
-        from repro.trace import TraceRecorder
-
+    def _traced_decode(self, data, sampling, value):
+        recorder, capture = self._recorder(sampling)
         with engine(value):
-            hierarchy = SGI_O2.build_hierarchy()
-            VopDecoder(recorder=TraceRecorder([hierarchy])).decode_sequence(data)
-        return self._snapshot(hierarchy)
+            VopDecoder(recorder=recorder).decode_sequence(data)
+        return capture.table()
 
     def test_traced_encode_counters_identical(self):
-        config = CodecConfig(WIDTH, HEIGHT, qp=8, gop_size=4, m_distance=2)
-        frames = scene_frames(5)
-        ref_encoded, ref_counts = self._traced_encode(config, frames, ENGINE_REFERENCE)
-        bat_encoded, bat_counts = self._traced_encode(config, frames, ENGINE_BATCHED)
-        assert ref_encoded.data == bat_encoded.data
-        assert ref_counts == bat_counts
+        """Same bitstream and same recorded table (so every counter) in
+        every traced case."""
+        for width, height, knobs, sampling, make_frames in TRACE_CASES:
+            config = CodecConfig(width, height, **knobs)
+            frames = make_frames(6, width, height)
+            reference, ref_table = self._traced_encode(config, frames, sampling, ENGINE_REFERENCE)
+            batched, bat_table = self._traced_encode(config, frames, sampling, ENGINE_BATCHED)
+            assert batched.data == reference.data, (width, knobs)
+            assert len(bat_table) > 0
+            assert_same_table(bat_table, ref_table)
 
     def test_traced_decode_counters_identical(self):
-        config = CodecConfig(
-            WIDTH, HEIGHT, qp=8, gop_size=4, m_distance=2, resync_markers=True
-        )
-        with engine(ENGINE_BATCHED):
-            data = VopEncoder(config).encode_sequence(scene_frames(5)).data
-        assert self._traced_decode(data, ENGINE_REFERENCE) == self._traced_decode(
-            data, ENGINE_BATCHED
-        )
+        """The batched decoder's kernel rows (row emitter) and hand-backs
+        record the reference engine's table in every traced case."""
+        for width, height, knobs, sampling, make_frames in TRACE_CASES:
+            config = CodecConfig(width, height, **knobs)
+            with engine(ENGINE_BATCHED):
+                data = VopEncoder(config).encode_sequence(make_frames(6, width, height)).data
+            assert_same_table(
+                self._traced_decode(data, sampling, ENGINE_BATCHED),
+                self._traced_decode(data, sampling, ENGINE_REFERENCE),
+            )
+
+    def test_cases_reach_every_macroblock_shape(self):
+        """Across the traced cases, P-VOPs code intra and skipped
+        macroblocks and B-VOPs skipped ones."""
+        from repro.codec.types import VopType
+
+        seen = set()
+        for width, height, knobs, _, make_frames in TRACE_CASES:
+            config = CodecConfig(width, height, **knobs)
+            with engine(ENGINE_BATCHED):
+                encoded = VopEncoder(config).encode_sequence(make_frames(6, width, height))
+            for stats in encoded.stats.vops:
+                if stats.intra_mbs:
+                    seen.add((stats.vop_type, "intra"))
+                if stats.skipped_mbs:
+                    seen.add((stats.vop_type, "skipped"))
+                if stats.inter_mbs:
+                    seen.add((stats.vop_type, "inter"))
+        assert {
+            (VopType.P, "intra"), (VopType.P, "skipped"), (VopType.P, "inter"),
+            (VopType.B, "skipped"), (VopType.B, "inter"),
+        } <= seen
 
 
 class TestFixedPointIdct:

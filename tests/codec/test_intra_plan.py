@@ -5,7 +5,9 @@ its VLC events for a whole I-VOP before it writes a bit
 (``VopEncoder._plan_intra_vop``).  Its output must be that of
 ``VopEncoder._serialize_intra_mb`` run macroblock by macroblock with a
 fresh predictor set per video packet -- the bits, the per-MB event
-counts, the VOP statistics and the trace -- on any level grid.
+counts, the VOP statistics and the trace (the batched serializer's row
+emitter against the per-MB hooks, table column for column) -- on any
+level grid.
 """
 
 import numpy as np
@@ -48,7 +50,7 @@ def planned(levels, resilience, qp):
     writer, stats = BitWriter(), new_stats(qp)
     encoder._serialize_i_vop(writer, qp, levels, encoder._anchors[0], stats)
     n_events = encoder._plan_intra_vop(levels)[3]
-    return writer.getvalue(), n_events, stats, sink.batches
+    return writer.getvalue(), n_events, stats, sink.table()
 
 
 def per_macroblock(levels, resilience, qp):
@@ -77,7 +79,7 @@ def per_macroblock(levels, resilience, qp):
         )
 
     encoder._serialize_rows(writer, qp, code_mb, on_row)
-    return writer.getvalue(), n_events, stats, sink.batches
+    return writer.getvalue(), n_events, stats, sink.table()
 
 
 @st.composite
@@ -119,11 +121,9 @@ def test_plan_matches_per_macroblock_serializer(levels, resilience, qp):
     assert bits == want_bits
     assert n_events == want_events
     assert stats == want_stats
-    assert len(trace) == len(want_trace)
-    for got, want in zip(trace, want_trace):
-        assert (got.kind, got.phase, got.alu_ops) == (want.kind, want.phase, want.alu_ops)
-        assert got.lines.tolist() == want.lines.tolist()
-        assert got.counts.tolist() == want.counts.tolist()
+    for name in ("lines", "counts", "bounds", "kinds", "alu_ops", "phase_ids"):
+        assert getattr(trace, name).tolist() == getattr(want_trace, name).tolist(), name
+    assert trace.phase_names == want_trace.phase_names
 
 
 def test_ac_prediction_is_used_and_ties_go_left():

@@ -15,6 +15,7 @@ exactly as one without it, error class and bit position included.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 
 import numpy as np
@@ -147,8 +148,9 @@ def outcome(data, tolerant, recorder=None):
 
 
 def strict_and_tolerant(cases):
+    """Each case's strict and tolerant :func:`traced_decode`."""
     return [
-        (case, tolerant, outcome(data, tolerant))
+        (case, tolerant, traced_decode(data, tolerant))
         for case, data in cases
         for tolerant in (False, True)
     ]
@@ -238,6 +240,9 @@ FUZZ_CONFIGS = {
 
 @pytest.mark.parametrize("config", sorted(FUZZ_CONFIGS))
 def test_fuzzed_streams_decode_as_without_the_kernel(config, monkeypatch):
+    """Fuzzed streams, whose VOPs mix kernel rows and hand-backs, decode
+    with the kernel as without it: outcome, frames, statistics and the
+    recorded trace."""
     pristine = encode(64, 48, 7, **FUZZ_CONFIGS[config]).data
     cases = BitstreamFuzzer(21).corpus(pristine, 4 * len(MUTATIONS))
     assert {case.mutation for case, _ in cases} == set(MUTATIONS)
@@ -252,15 +257,19 @@ def test_fuzzed_streams_decode_as_without_the_kernel(config, monkeypatch):
 
 
 def traced_decode(data, tolerant):
+    """A decode's :func:`outcome` and a digest of each column of its
+    recorded trace (kernel rows come from the row emitter, every other
+    row from the per-MB hooks)."""
     from repro.trace import TraceCapture, TraceRecorder
 
     sink = TraceCapture()
     result = outcome(data, tolerant, TraceRecorder([sink]))
-    batches = [
-        (b.kind, b.phase, b.alu_ops, b.lines.tolist(), b.counts.tolist())
-        for b in sink.batches
-    ]
-    return result, batches
+    table = sink.table()
+    columns = {
+        name: hashlib.sha256(getattr(table, name).tobytes()).hexdigest()
+        for name in ("lines", "counts", "bounds", "kinds", "alu_ops", "phase_ids")
+    }
+    return result, columns, table.phase_names
 
 
 @pytest.mark.parametrize("discard", [{0}, {1, 2}, {0, 2}])

@@ -40,25 +40,34 @@ def assert_matches_oracle(reference, current, border, mb_rows, mb_cols, search_r
     search = search_plane(
         reference, current, border, mb_rows, mb_cols, search_range, half_pel=True
     )
-    results = search.search_results()
     for mr in range(mb_rows):
         for mc in range(mb_cols):
             y0, x0 = border + mr * MB_SIZE, border + mc * MB_SIZE
             full, refined = oracle_search(reference, current, x0, y0, search_range)
-            got, evaluated = results[mr][mc]
             where = (mr, mc, search_range)
-            assert got.mv == full.mv, where
-            assert got.sad == full.sad, where
-            assert got.candidates_evaluated == full.candidates_evaluated, where
-            assert got.ref_reads == full.ref_reads, where
-            assert got.cur_reads == full.cur_reads, where
-            np.testing.assert_array_equal(got.row_coverage, full.row_coverage)
+            # The full-pel winner is in full pixels, the oracle's in half pels.
+            assert (2 * search.full_dx[mr, mc], 2 * search.full_dy[mr, mc]) == (
+                full.mv.dx, full.mv.dy,
+            ), where
+            assert search.full_sad[mr, mc] == full.sad, where
+            assert search.candidates[mr, mc] == full.candidates_evaluated, where
+            assert search.reads[mr, mc] == full.ref_reads == full.cur_reads, where
+            cover_rows = search.cover_rows[mr, mc]
+            np.testing.assert_array_equal(
+                search.coverage[mr, mc, :cover_rows], full.row_coverage
+            )
             assert (search.dx[mr, mc], search.dy[mr, mc]) == (
                 refined.mv.dx, refined.mv.dy,
             ), where
             assert search.sad[mr, mc] == refined.sad, where
-            assert evaluated == search.evaluated[mr, mc], where
-            assert evaluated == refined.candidates_evaluated, where
+            assert search.evaluated[mr, mc] == refined.candidates_evaluated, where
+            # What the trace's row emitter reads is the same work model.
+            reads, candidates, evaluated, coverage, rows = search.row_work(mr)
+            assert (reads[mc], candidates[mc], evaluated[mc], rows[mc]) == (
+                full.ref_reads, full.candidates_evaluated,
+                refined.candidates_evaluated, cover_rows,
+            ), where
+            np.testing.assert_array_equal(coverage[mc], search.coverage[mr, mc])
     return search
 
 

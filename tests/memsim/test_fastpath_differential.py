@@ -348,6 +348,54 @@ class TestReplayDifferential:
         replay_both(reference, fast, batches)
 
 
+class TestSinkProtocol:
+    """A recorder hands its sinks a macroblock row as one table
+    (``replay``) and every other batch alone (``process``).  Any
+    interleaving of the two must leave both engines where one ``process``
+    per batch leaves the reference engine: the same totals, phases in the
+    same order, and the same float clocks."""
+
+    @staticmethod
+    def feed(sink, batches, cuts, as_tables):
+        bounds = [0, *cuts, len(batches)]
+        for start, stop, as_table in zip(bounds, bounds[1:], as_tables):
+            if as_table:
+                sink.replay(BatchTable(batches[start:stop]))
+            else:
+                for batch in batches[start:stop]:
+                    sink.process(batch)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_interleavings(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        n = data.draw(st.integers(min_value=0, max_value=60))
+        batches = random_batches(
+            rng, n, data.draw(st.sampled_from([512, 4096, 1 << 15])),
+            max_events=data.draw(st.sampled_from([2, 40, 200])),
+        )
+        phases = ["vop_encode", "other", "me", "vop_decode"]
+        for batch in batches:
+            batch.phase = phases[int(rng.integers(0, len(phases)))]
+        for index in data.draw(st.lists(st.integers(min_value=0, max_value=n), max_size=4)):
+            batches.insert(index, alu_only(phases[index % len(phases)], alu_ops=index + 1))
+        cuts = sorted(
+            data.draw(st.lists(st.integers(min_value=0, max_value=len(batches)), max_size=10))
+        )
+        as_tables = data.draw(
+            st.lists(st.booleans(), min_size=len(cuts) + 1, max_size=len(cuts) + 1)
+        )
+        scatter = data.draw(st.booleans())
+        oracle, _ = make_pair(page_scatter=scatter)
+        for batch in batches:
+            oracle.process(batch)
+        reference, fast = make_pair(page_scatter=scatter)
+        self.feed(reference, batches, cuts, as_tables)
+        self.feed(fast, batches, cuts, as_tables)
+        assert_same(oracle, reference)
+        assert_same(oracle, fast)
+
+
 class TestDifferentialAgainstCacheModel:
     """The fast engine must also match the composed SetAssocCache oracle on
     write-free streams (mirrors the existing hierarchy differential)."""

@@ -69,7 +69,7 @@ class TestMemsimInvariance:
             config = CodecConfig(WIDTH, HEIGHT, qp=8, gop_size=4, m_distance=2)
             VopEncoder(config, TraceRecorder([capture])).encode_sequence(frames)
             hierarchy = STUDY_MACHINES[0].build_hierarchy()
-            for batch in capture.batches:
+            for batch in capture.table():
                 hierarchy.process(batch)
             return hierarchy.total
 

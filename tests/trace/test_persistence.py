@@ -5,7 +5,7 @@ import pytest
 
 from repro.codec import CodecConfig, VopEncoder
 from repro.core.machines import SGI_O2
-from repro.memsim.events import KIND_READ, KIND_WRITE, AccessBatch
+from repro.memsim.events import KIND_READ, KIND_WRITE, AccessBatch, BatchTable
 from repro.trace import TraceRecorder
 from repro.trace.persistence import TraceCapture, load_trace, replay_trace
 from repro.video import SceneSpec, SyntheticScene
@@ -65,8 +65,8 @@ class TestSaveLoad:
         for batch in sample_batches():
             capture.process(batch)
         table = capture.table()
-        assert capture.batches == []
         assert capture.n_events == 0
+        assert len(capture.table()) == 0
         assert len(table) == 3
         assert table.bounds.tolist() == [0, 3, 4, 4]
         assert table.phase_names == ["me", "other"]
@@ -78,12 +78,48 @@ class TestSaveLoad:
                 AccessBatch(KIND_READ, np.array([5, 5, 6]), np.ones(3), phase=phase)
             )
         capture.save(tmp_path / "t.npz")
-        assert len(capture.batches) == 3
+        assert capture.n_events == 9
         loaded = load_trace(tmp_path / "t.npz")
         assert loaded.phase_names == ["vop_decode", "other"]
         # The stored events are collapsed runs.
         assert [b.lines.tolist() for b in loaded] == [[5, 6]] * 3
         assert [b.counts.tolist() for b in loaded] == [[2, 1]] * 3
+        # The capture still holds all three batches, as saved.
+        kept = capture.table()
+        for name in ("lines", "counts", "bounds", "kinds", "alu_ops", "phase_ids"):
+            assert getattr(kept, name).tolist() == getattr(loaded, name).tolist()
+        assert kept.phase_names == loaded.phase_names
+
+    def test_rows_and_single_batches_keep_emit_order(self):
+        """A row table and single batches, interleaved, fold as the same
+        batches handed over one by one (phases renumbered in order of
+        first appearance across both)."""
+        singles, mixed = TraceCapture(), TraceCapture()
+        row = BatchTable(
+            [
+                AccessBatch(KIND_WRITE, np.array([7, 7, 8]), np.array([1, 2, 3]), phase="row"),
+                AccessBatch(KIND_READ, np.array([9]), np.array([4]), phase="me", alu_ops=5),
+            ]
+        )
+        head, tail = sample_batches()[:2], sample_batches()[2:]
+        for batch in head + list(row) + tail:
+            singles.process(batch)
+        for batch in head:
+            mixed.process(batch)
+        mixed.replay(row)
+        for batch in tail:
+            mixed.process(batch)
+        assert singles.n_events == mixed.n_events == 7
+        want, got = singles.table(), mixed.table()
+        for name in ("lines", "counts", "bounds", "kinds", "alu_ops", "phase_ids"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+        assert got.phase_names == want.phase_names == ["me", "other", "row"]
+
+    def test_counts_past_int32_survive(self):
+        capture = TraceCapture()
+        capture.process(AccessBatch(KIND_READ, np.array([1]), np.array([7])))
+        capture.process(AccessBatch(KIND_READ, np.array([2, 3]), np.array([2**40, -(2**33)])))
+        assert capture.table().counts.tolist() == [7, 2**40, -(2**33)]
 
 
 class TestReplayEquivalence:
@@ -103,7 +139,7 @@ class TestReplayEquivalence:
         capture.save(path)
         replayed = SGI_O2.build_hierarchy()
         n = replay_trace(path, [replayed])
-        assert n == len(capture.batches)
+        assert n == len(capture.table())
         assert replayed.total.l1_misses == live.total.l1_misses
         assert replayed.total.l2_misses == live.total.l2_misses
         assert replayed.total.graduated_loads == live.total.graduated_loads
