@@ -29,11 +29,26 @@
  * one record of N_FIELDS int64 values per macroblock (field order
  * mirrored by repro.codec.batched).
  *
- * compensate_blocks() is the motion compensation of
- * repro.codec.batched.compensate_many (motion.compensate per block): the
- * same bilinear half-pel mix, for many blocks of one plane at once.
+ * The batched encoder's and decoder's texture path runs here too, every
+ * per-sample stage but the two DCT matmuls, each transcribing its NumPy
+ * oracle exactly:
+ *
+ *   - predict_mbs(): the six-block motion-compensated prediction of many
+ *     macroblocks from one reference store (motion.compensate per block,
+ *     batched.compensate_many without the kernel);
+ *   - bidirectional_mbs(): the B-VOP mode decision and the rounded
+ *     average of the forward and backward predictions;
+ *   - quantize_blocks() / dequantize_blocks(): both methods of
+ *     repro.codec.quant, intra and inter;
+ *   - store_macroblocks(): np.clip(np.rint(v), 0, 255) of reconstructed
+ *     macroblocks into the padded planes of a frame store.
+ *
+ * No routine calls libm: truncation is an integer cast, and rounding
+ * adds and subtracts 2^52 (rint_even); every value either sees lies far
+ * inside their ranges.
  */
 
+#include <stddef.h>
 #include <stdint.h>
 
 enum { N = 16 };
@@ -201,21 +216,241 @@ void sad_full_search(
     }
 }
 
-/* Motion-compensated prediction of n size x size blocks of one plane:
- * block i reads from source origin (src_y[i], src_x[i]) at half-pel
- * phase (ry[i], rx[i]); the caller has checked that every source lies
- * inside the plane.  out holds n blocks back to back. */
-void compensate_blocks(
-    const uint8_t *plane, int64_t stride, int64_t n, int64_t size,
-    const int64_t *src_y, const int64_t *src_x, const int64_t *ry,
-    const int64_t *rx, uint8_t *out)
+static inline void mix_row(const uint8_t *a, const uint8_t *b, int size,
+                           int rx, int ry, uint8_t *out)
 {
-    for (int64_t i = 0; i < n; i++) {
-        const uint8_t *a = plane + src_y[i] * stride + src_x[i];
-        for (int64_t y = 0; y < size; y++, a += stride, out += size) {
-            const uint8_t *b = ry[i] ? a + stride : a;
-            for (int64_t x = 0; x < size; x++)
-                out[x] = (uint8_t)halfpel_mix(a, b, x, (int)rx[i], (int)ry[i]);
+    for (int x = 0; x < size; x++)
+        out[x] = (uint8_t)halfpel_mix(a, b, x, rx, ry);
+}
+
+/* The half-pel prediction of a size x size block whose top-left source
+ * pixel is a, bytes back to back in out.  Each case passes constant
+ * phases, so the compiler drops halfpel_mix's branches from its loop. */
+static void mix_block(const uint8_t *a, int64_t stride, int size, int ry,
+                      int rx, uint8_t *out)
+{
+    for (int y = 0; y < size; y++, a += stride, out += size) {
+        const uint8_t *b = ry ? a + stride : a;
+        switch (2 * ry + rx) {
+        case 0: mix_row(a, b, size, 0, 0, out); break;
+        case 1: mix_row(a, b, size, 1, 0, out); break;
+        case 2: mix_row(a, b, size, 0, 1, out); break;
+        default: mix_row(a, b, size, 1, 1, out); break;
+        }
+    }
+}
+
+/* The source of a size x size block at (y, x) displaced by (dx, dy)
+ * half-pels in a height x width plane, as motion.compensate splits the
+ * vector (floor division, half-pel phase); NULL when it escapes. */
+static const uint8_t *block_source(
+    const uint8_t *plane, int64_t stride, int64_t height, int64_t width,
+    int64_t y, int64_t x, int64_t dx, int64_t dy, int size, int *ry, int *rx)
+{
+    *rx = (int)(dx & 1);
+    *ry = (int)(dy & 1);
+    const int64_t sy = y + (dy - *ry) / 2, sx = x + (dx - *rx) / 2;
+    if (sy < 0 || sx < 0 || sy + size + *ry > height || sx + size + *rx > width)
+        return NULL;
+    return plane + sy * stride + sx;
+}
+
+/* Samples of a macroblock's six 8x8 blocks: four luma, U, V. */
+enum { MB_SAMPLES = 6 * 64 };
+
+/* Six-block prediction of n macroblocks from one reference store.
+ * Macroblock i sits at frame origin (mb_ys[i], mb_xs[i]) (the store's
+ * planes carry border samples on every side) and moves by the luma
+ * vector (mv_dx[i], mv_dy[i]) in half-pels; chroma moves by half of
+ * it, rounded toward zero (batched.chroma_mv).  pred receives n records
+ * of six 8x8 doubles in block order (luma quadrants row-major, U, V),
+ * luma the n 16x16 luma predictions.  Returns -1, or the first
+ * macroblock whose luma or chroma source escapes its plane. */
+int64_t predict_mbs(
+    const uint8_t *y, int64_t y_stride, int64_t y_height, int64_t y_width,
+    const uint8_t *u, const uint8_t *v, int64_t c_stride, int64_t c_height,
+    int64_t c_width, int64_t border, int64_t n, const int64_t *mb_ys,
+    const int64_t *mb_xs, const int64_t *mv_dx, const int64_t *mv_dy,
+    double *pred, uint8_t *luma)
+{
+    for (int64_t i = 0; i < n; i++, pred += MB_SAMPLES, luma += N * N) {
+        int ry, rx, cry, crx;
+        const int64_t cy = border + mb_ys[i] / 2, cx = border + mb_xs[i] / 2;
+        const uint8_t *ys = block_source(
+            y, y_stride, y_height, y_width, border + mb_ys[i],
+            border + mb_xs[i], mv_dx[i], mv_dy[i], N, &ry, &rx);
+        const uint8_t *us = block_source(
+            u, c_stride, c_height, c_width, cy, cx, mv_dx[i] / 2,
+            mv_dy[i] / 2, 8, &cry, &crx);
+        if (ys == NULL || us == NULL)
+            return i;
+        uint8_t cu[64], cv[64];
+        mix_block(ys, y_stride, N, ry, rx, luma);
+        mix_block(us, c_stride, 8, cry, crx, cu);
+        mix_block(v + (us - u), c_stride, 8, cry, crx, cv);
+        for (int b = 0; b < 4; b++) {
+            const uint8_t *q = luma + 8 * (b >> 1) * N + 8 * (b & 1);
+            for (int r = 0; r < 8; r++, q += N)
+                for (int c = 0; c < 8; c++)
+                    pred[64 * b + 8 * r + c] = q[c];
+        }
+        for (int j = 0; j < 64; j++) {
+            pred[256 + j] = cu[j];
+            pred[320 + j] = cv[j];
+        }
+    }
+    return -1;
+}
+
+/* B-VOP prediction modes, numbered as motion.PredictionMode. */
+enum { MODE_FORWARD, MODE_BACKWARD, MODE_BIDIRECTIONAL };
+
+/* Bidirectional prediction of n macroblocks, in place in fwd.
+ *
+ * With cur set (the encoder), each mode is decided first: sad_bi is the
+ * luma SAD of the current macroblock against the rounded average of
+ * luma_f and luma_b, and the first minimum of (sad_f, sad_b, sad_bi)
+ * wins, in that order; mode receives it.  Without cur (the decoder),
+ * mode is read.  A backward macroblock then takes bwd, a bidirectional
+ * one (fwd + bwd + 1) >> 1; a forward one keeps fwd.  Every prediction
+ * sample is an integer in [0, 255]. */
+void bidirectional_mbs(
+    int64_t n, double *fwd, const double *bwd, const uint8_t *luma_f,
+    const uint8_t *luma_b, const uint8_t *cur, const int64_t *sad_f,
+    const int64_t *sad_b, int64_t *mode)
+{
+    for (int64_t i = 0; i < n; i++, fwd += MB_SAMPLES, bwd += MB_SAMPLES) {
+        if (cur != NULL) {
+            const uint8_t *f = luma_f + i * N * N, *b = luma_b + i * N * N;
+            const uint8_t *c = cur + i * N * N;
+            int64_t sad_bi = 0;
+            for (int j = 0; j < N * N; j++) {
+                const int32_t d = (int32_t)c[j] - ((f[j] + b[j] + 1) >> 1);
+                sad_bi += d < 0 ? -d : d;
+            }
+            if (sad_f[i] <= sad_b[i] && sad_f[i] <= sad_bi)
+                mode[i] = MODE_FORWARD;
+            else
+                mode[i] = sad_b[i] <= sad_bi ? MODE_BACKWARD : MODE_BIDIRECTIONAL;
+        }
+        if (mode[i] == MODE_BACKWARD) {
+            for (int j = 0; j < MB_SAMPLES; j++)
+                fwd[j] = bwd[j];
+        } else if (mode[i] == MODE_BIDIRECTIONAL) {
+            for (int j = 0; j < MB_SAMPLES; j++)
+                fwd[j] = (((int32_t)fwd[j] + (int32_t)bwd[j] + 1) >> 1);
+        }
+    }
+}
+
+/* 2^52: a double at or above it has no fraction bits. */
+static const double ROUNDER = 4503599627370496.0;
+
+/* x rounded to the nearest integer, ties to even, as np.rint rounds it,
+ * for |x| < 2^52: the sum |x| + 2^52 keeps no fraction bits, so the
+ * FPU's default round-to-nearest-even mode rounds it. */
+static inline double rint_even(double x)
+{
+    return x < 0 ? -((ROUNDER - x) - ROUNDER) : (x + ROUNDER) - ROUNDER;
+}
+
+/* -1, 0 or 1 as x is negative, zero or positive (np.sign), without a
+ * branch the signs of texture data would mispredict. */
+static inline double sign_of(double x)
+{
+    return (double)((x > 0) - (x < 0));
+}
+
+/* Quantize n 8x8 coefficient blocks to int32 levels (quant.quantize, or
+ * quant.quantize_weighted when matrix holds the 64 weights).  With w the
+ * coefficient c, or c 16 / W with a matrix: intra levels are
+ * trunc(w / 2qp), with the DC term rint(c00 / 8) of the unweighted
+ * coefficient; inter levels sign(w) max(trunc((|w| - qp/2) / 2qp), 0).
+ * Coefficients must keep every level inside int32. */
+void quantize_blocks(
+    const double *coef, int64_t n, int64_t qp, int64_t intra,
+    const int32_t *matrix, int32_t *levels)
+{
+    const double step = 2.0 * (double)qp, dead_zone = (double)qp / 2.0;
+    for (int64_t k = 0; k < n; k++, coef += 64, levels += 64) {
+        double w[64];
+        if (matrix) {
+            for (int j = 0; j < 64; j++)
+                w[j] = coef[j] * 16.0 / (double)matrix[j];
+        } else {
+            for (int j = 0; j < 64; j++)
+                w[j] = coef[j];
+        }
+        if (intra) {
+            for (int j = 0; j < 64; j++)
+                levels[j] = (int32_t)(w[j] / step);
+            levels[0] = (int32_t)rint_even(coef[0] / 8.0);
+            continue;
+        }
+        /* The dead-zone quotient is at least -1/4, where the cast
+         * truncates to 0, so max(., 0) needs no code of its own. */
+        for (int j = 0; j < 64; j++) {
+            const double sign = sign_of(w[j]);
+            levels[j] = (int32_t)sign * (int32_t)((w[j] * sign - dead_zone) / step);
+        }
+    }
+}
+
+/* Reconstruct n 8x8 blocks of coefficients from int32 levels
+ * (quant.dequantize, or quant.dequantize_weighted when matrix holds the
+ * 64 weights): sign(l) ((2|l| + 1) qp - [qp even]), or sign(l)
+ * (2|l| + 1) qp W / 16 with a matrix, 0 for l = 0; an intra DC is
+ * l00 8.  Every product is an integer below 2^53, so the doubles carry
+ * the integer arithmetic of the NumPy oracle exactly. */
+void dequantize_blocks(
+    const int32_t *levels, int64_t n, int64_t qp, int64_t intra,
+    const int32_t *matrix, double *coef)
+{
+    const double q = (double)qp, even = matrix || qp % 2 ? 0.0 : 1.0;
+    for (int64_t k = 0; k < n; k++, levels += 64, coef += 64) {
+        for (int j = 0; j < 64; j++) {
+            const double l = levels[j], sign = sign_of(l);
+            coef[j] = sign * ((2.0 * l * sign + 1.0) * q - even);
+        }
+        if (matrix) {
+            for (int j = 0; j < 64; j++)
+                coef[j] = coef[j] * (double)matrix[j] / 16.0;
+        }
+        if (intra)
+            coef[0] = (double)levels[0] * 8.0;
+    }
+}
+
+/* np.clip(np.rint(v), 0, 255) as a sample; clipping first gives the
+ * same sample, as both bounds are integers. */
+static inline uint8_t to_sample(double v)
+{
+    return (uint8_t)rint_even(v < 0.0 ? 0.0 : v > 255.0 ? 255.0 : v);
+}
+
+/* Store n reconstructed macroblocks, six 8x8 blocks of doubles each in
+ * predict_mbs order, rounded and clipped, into a frame store's padded
+ * planes: macroblock i lands at macroblock row rows[i], column cols[i]
+ * of the interior. */
+void store_macroblocks(
+    uint8_t *y, int64_t y_stride, uint8_t *u, uint8_t *v, int64_t c_stride,
+    int64_t border, int64_t n, const int64_t *rows, const int64_t *cols,
+    const double *values)
+{
+    for (int64_t i = 0; i < n; i++, values += MB_SAMPLES) {
+        uint8_t *ly = y + (border + N * rows[i]) * y_stride + border + N * cols[i];
+        for (int b = 0; b < 4; b++) {
+            uint8_t *q = ly + 8 * (b >> 1) * y_stride + 8 * (b & 1);
+            for (int r = 0; r < 8; r++, q += y_stride)
+                for (int c = 0; c < 8; c++)
+                    q[c] = to_sample(values[64 * b + 8 * r + c]);
+        }
+        const int64_t offset = (border + 8 * rows[i]) * c_stride + border + 8 * cols[i];
+        for (int r = 0; r < 8; r++) {
+            for (int c = 0; c < 8; c++) {
+                u[offset + r * c_stride + c] = to_sample(values[256 + 8 * r + c]);
+                v[offset + r * c_stride + c] = to_sample(values[320 + 8 * r + c]);
+            }
         }
     }
 }

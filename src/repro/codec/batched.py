@@ -17,10 +17,19 @@ This module lifts the pixel-level hot paths to whole-VOP granularity:
   offset, then one 18x18 patch gather per MB).  With the per-MB search
   of :mod:`repro.codec.motion`, they are the fallback when no compiler
   is available.
-- :func:`compensate_many`: motion-compensated prediction for many blocks
-  at once, grouped by half-pel phase.
-- :func:`gather_plane_blocks` / :func:`scatter_plane_blocks`: plane <->
-  ``(rows, cols, n, n)`` block-tensor reshapes.
+- the texture path around the DCT matmuls, each stage one call to the
+  same kernel with a NumPy body as its fallback:
+  :func:`predict_many` (six-block motion compensation of many
+  macroblocks from one reference store; :func:`compensate_many` is the
+  NumPy body, grouped by half-pel phase), :func:`bidirectional_predict`
+  (the B-VOP mode decision and mix), :func:`quantize_blocks` /
+  :func:`dequantize_blocks` (both methods of :mod:`repro.codec.quant`)
+  and :func:`store_macroblocks` (round, clip and write reconstructed
+  macroblocks into a frame store).  The reference engine keeps
+  :mod:`repro.codec.quant` and :func:`repro.codec.motion.compensate`,
+  the oracles.
+- :func:`gather_plane_blocks`: a plane as a ``(rows, cols, n, n)`` block
+  tensor.
 - :func:`intra_decisions`: the VM intra/inter mode decision for all MBs.
 - :class:`MacroblockRows`: a VOP's parsed macroblock rows as dense
   arrays, each row parsed in one call to ``_parse_kernel.c`` when it
@@ -28,7 +37,8 @@ This module lifts the pixel-level hot paths to whole-VOP granularity:
   re-parses any row the kernel hands back.
 
 Everything here is bit-exact with the per-macroblock reference functions
-in :mod:`repro.codec.motion` and :mod:`repro.codec.decoder` (enforced by
+in :mod:`repro.codec.motion`, :mod:`repro.codec.quant` and
+:mod:`repro.codec.decoder` (enforced by
 ``tests/codec/test_batched_kernels.py``,
 ``tests/codec/test_search_kernel.py`` and
 ``tests/codec/test_parse_kernel.py``); the scan order and tie-breaking
@@ -46,9 +56,19 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.codec import vlc
-from repro.codec.motion import ZERO_MV_BIAS, MotionVector
+from repro.codec.framestore import BORDER
+from repro.codec.motion import ZERO_MV_BIAS, MotionVector, PredictionMode
 from repro.codec.predict import DEFAULT_DC
-from repro.codec.quant import ZIGZAG
+from repro.codec.quant import (
+    DEFAULT_INTER_MATRIX,
+    DEFAULT_INTRA_MATRIX,
+    METHOD_H263,
+    METHOD_MPEG,
+    ZIGZAG,
+    dequantize_any,
+    quantize_any,
+    validate_qp,
+)
 from repro.codec.types import VopType
 from repro.native.build import load_library
 from repro.video.yuv import MB_SIZE
@@ -60,8 +80,8 @@ _sad_tried = False
 
 
 def _load_sad_kernel():
-    """The compiled plane kernel (``sad_full_search`` and
-    ``compensate_blocks``), or ``None``."""
+    """The compiled plane kernel (the motion search and the texture
+    path), or ``None``."""
     global _sad_lib, _sad_tried
     if _sad_tried:
         return _sad_lib
@@ -70,10 +90,23 @@ def _load_sad_kernel():
     if lib is None:
         return None
     pointer, count = ctypes.c_void_p, ctypes.c_int64
-    lib.sad_full_search.argtypes = [pointer] * 2 + [count] * 9 + [pointer] * 2
-    lib.compensate_blocks.argtypes = [pointer] + [count] * 3 + [pointer] * 5
-    for fn in (lib.sad_full_search, lib.compensate_blocks):
-        fn.restype = None
+    signatures = {
+        "sad_full_search": ([pointer] * 2 + [count] * 9 + [pointer] * 2, None),
+        "predict_mbs": (
+            [pointer] + [count] * 3 + [pointer] * 2 + [count] * 5 + [pointer] * 6,
+            count,
+        ),
+        "bidirectional_mbs": ([count] + [pointer] * 8, None),
+        "quantize_blocks": ([pointer] + [count] * 3 + [pointer] * 2, None),
+        "dequantize_blocks": ([pointer] + [count] * 3 + [pointer] * 2, None),
+        "store_macroblocks": (
+            [pointer, count, pointer, pointer] + [count] * 3 + [pointer] * 3, None
+        ),
+    }
+    for name, (argtypes, restype) in signatures.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = restype
     _sad_lib = lib
     return lib
 
@@ -335,6 +368,10 @@ def half_pel_refine_plane(
     return best_dx, best_dy, best_sad, evaluated
 
 
+#: The error of a prediction whose source leaves its reference plane.
+_ESCAPES = "compensation source escapes reference plane"
+
+
 def compensate_many(
     reference: np.ndarray,
     ys: np.ndarray,
@@ -347,10 +384,10 @@ def compensate_many(
 
     ``ys``/``xs`` are block origins in the *current* frame (flat arrays),
     ``mv_dx``/``mv_dy`` the per-block displacements in half-pel units.
-    Bit-exact with :func:`repro.codec.motion.compensate` per block.  The
-    plane kernel's ``compensate_blocks`` mixes every block in one call;
-    without it the blocks are grouped by half-pel phase so each group is
-    one fancy-index gather plus one vectorized bilinear mix.
+    Bit-exact with :func:`repro.codec.motion.compensate` per block: the
+    blocks are grouped by half-pel phase so each group is one fancy-index
+    gather plus one vectorized bilinear mix.  This is the NumPy body of
+    :func:`predict_many`, used when the plane kernel is unavailable.
     """
     ys = np.asarray(ys, dtype=np.int64)
     xs = np.asarray(xs, dtype=np.int64)
@@ -371,17 +408,8 @@ def compensate_many(
         or (src_y + need_y > height).any()
         or (src_x + need_x > width).any()
     ):
-        raise ValueError("compensation source escapes reference plane")
+        raise ValueError(_ESCAPES)
     out = np.empty((ys.size, size, size), dtype=np.uint8)
-    lib = _load_sad_kernel()
-    if lib is not None:
-        reference = np.ascontiguousarray(reference, dtype=np.uint8)
-        lib.compensate_blocks(
-            reference.ctypes.data, reference.strides[0], ys.size, size,
-            src_y.ctypes.data, src_x.ctypes.data, rys.ctypes.data,
-            rxs.ctypes.data, out.ctypes.data,
-        )
-        return out
     ar = np.arange(size + 1, dtype=np.int64)
     for ry in (0, 1):
         for rx in (0, 1):
@@ -433,12 +461,35 @@ def predict_many(
     ``mv_dx``/``mv_dy`` luma displacements in half-pel units.  Returns
     ``(predictions, luma)``: the ``(n, 6, 8, 8)`` float64 block tensor in
     the encoder's block order (four luma quadrants, U, V) plus the raw
-    ``(n, 16, 16)`` uint8 luma predictions (used for B-VOP SAD).
+    ``(n, 16, 16)`` uint8 luma predictions (used for B-VOP SAD).  The
+    plane kernel's ``predict_mbs`` predicts every macroblock in one call;
+    without it, :func:`compensate_many` runs once per plane.  Either way
+    a source outside its plane raises ``ValueError``.
     """
-    mb_ys = np.asarray(mb_ys, dtype=np.int64)
-    mb_xs = np.asarray(mb_xs, dtype=np.int64)
-    mv_dx = np.asarray(mv_dx, dtype=np.int64)
-    mv_dy = np.asarray(mv_dy, dtype=np.int64)
+    mb_ys = np.ascontiguousarray(mb_ys, dtype=np.int64)
+    mb_xs = np.ascontiguousarray(mb_xs, dtype=np.int64)
+    mv_dx = np.ascontiguousarray(mv_dx, dtype=np.int64)
+    mv_dy = np.ascontiguousarray(mv_dy, dtype=np.int64)
+    n = mb_ys.size
+    if mb_ys.ndim != 1 or not mb_ys.shape == mb_xs.shape == mv_dx.shape == mv_dy.shape:
+        raise ValueError("origins and displacements must be flat, of one length")
+    if ref_u.shape != ref_v.shape:
+        raise ValueError("the U and V planes of a store have one shape")
+    lib = _load_sad_kernel()
+    if lib is not None:
+        y, u, v = (np.ascontiguousarray(p, dtype=np.uint8) for p in (ref_y, ref_u, ref_v))
+        prediction = np.empty((n, 6, 8, 8), dtype=np.float64)
+        luma = np.empty((n, MB_SIZE, MB_SIZE), dtype=np.uint8)
+        escaped = lib.predict_mbs(
+            y.ctypes.data, y.strides[0], *y.shape,
+            u.ctypes.data, v.ctypes.data, u.strides[0], *u.shape,
+            border, n, mb_ys.ctypes.data, mb_xs.ctypes.data,
+            mv_dx.ctypes.data, mv_dy.ctypes.data,
+            prediction.ctypes.data, luma.ctypes.data,
+        )
+        if escaped >= 0:
+            raise ValueError(_ESCAPES)
+        return prediction, luma
     luma = compensate_many(
         ref_y, border + mb_ys, border + mb_xs, mv_dx, mv_dy, MB_SIZE
     )
@@ -447,7 +498,7 @@ def predict_many(
     cxs = border + mb_xs // 2
     u = compensate_many(ref_u, cys, cxs, cdx, cdy, 8)
     v = compensate_many(ref_v, cys, cxs, cdx, cdy, 8)
-    prediction = np.empty((mb_ys.size, 6, 8, 8), dtype=np.float64)
+    prediction = np.empty((n, 6, 8, 8), dtype=np.float64)
     # Same block order as the encoder's LUMA_BLOCK_OFFSETS + U + V.
     prediction[:, 0] = luma[:, 0:8, 0:8]
     prediction[:, 1] = luma[:, 0:8, 8:16]
@@ -458,6 +509,169 @@ def predict_many(
     return prediction, luma
 
 
+def bidirectional_predict(
+    forward: np.ndarray, backward: np.ndarray, modes: np.ndarray, decide=None
+) -> None:
+    """B-VOP predictions of n macroblocks, in place in ``forward``.
+
+    ``forward`` and ``backward`` are the ``(n, 6, 8, 8)`` float64
+    predictions from the past and the future store, ``modes`` an int64
+    ``(n,)`` array of :class:`~repro.codec.motion.PredictionMode` values.
+    A backward macroblock takes ``backward``, a bidirectional one the
+    rounded average ``(forward + backward + 1) // 2``; a forward one keeps
+    ``forward``.  The decoder passes the modes its vectors give.  The
+    encoder passes ``decide = (luma_f, luma_b, current, sad_f, sad_b)``
+    (the two ``(n, 16, 16)`` uint8 luma predictions, the current luma and
+    both int64 search SADs), and the modes are decided first, into
+    ``modes``: the first minimum of ``sad_f``, ``sad_b`` and the luma SAD
+    of the rounded average, in that order, as the reference encoder's
+    ``min()`` picks it.
+    """
+    lib = _load_sad_kernel()
+    n = modes.shape[0]
+    if not (
+        forward.shape == backward.shape == (n, 6, 8, 8)
+        and forward.dtype == backward.dtype == np.float64
+        and modes.dtype == np.int64
+        and forward.flags.c_contiguous
+        and backward.flags.c_contiguous
+        and modes.flags.c_contiguous
+    ):
+        raise ValueError("expected (n, 6, 8, 8) float64 predictions and int64 modes")
+    if decide is not None:
+        luma_f, luma_b, current = (
+            np.ascontiguousarray(a, dtype=np.uint8).reshape(n, MB_SIZE, MB_SIZE)
+            for a in decide[:3]
+        )
+        sad_f, sad_b = (np.ascontiguousarray(a, dtype=np.int64) for a in decide[3:])
+        if not sad_f.shape == sad_b.shape == (n,):
+            raise ValueError("expected one forward and one backward SAD per macroblock")
+        if lib is not None:
+            lib.bidirectional_mbs(
+                n, forward.ctypes.data, backward.ctypes.data, luma_f.ctypes.data,
+                luma_b.ctypes.data, current.ctypes.data, sad_f.ctypes.data,
+                sad_b.ctypes.data, modes.ctypes.data,
+            )
+            return
+        average = (luma_f.astype(np.int32) + luma_b.astype(np.int32) + 1) >> 1
+        sad_bi = np.abs(current.astype(np.int32) - average).sum(axis=(1, 2), dtype=np.int64)
+        modes[:] = np.where(
+            (sad_f <= sad_b) & (sad_f <= sad_bi),
+            PredictionMode.FORWARD.value,
+            np.where(
+                sad_b <= sad_bi,
+                PredictionMode.BACKWARD.value,
+                PredictionMode.BIDIRECTIONAL.value,
+            ),
+        )
+    if lib is not None:
+        lib.bidirectional_mbs(
+            n, forward.ctypes.data, backward.ctypes.data, None, None, None, None,
+            None, modes.ctypes.data,
+        )
+        return
+    take = modes == PredictionMode.BACKWARD.value
+    forward[take] = backward[take]
+    mix = modes == PredictionMode.BIDIRECTIONAL.value
+    forward[mix] = (forward[mix] + backward[mix] + 1.0) // 2
+
+
+def _weights(qp: int, intra: bool, method: int):
+    """The address of ``method``'s weighting matrix (None for H.263),
+    after the checks :func:`repro.codec.quant.quantize_any` makes."""
+    if method not in (METHOD_H263, METHOD_MPEG):
+        raise ValueError(f"unknown quantization method {method}")
+    validate_qp(qp)
+    if method == METHOD_H263:
+        return None
+    return (DEFAULT_INTRA_MATRIX if intra else DEFAULT_INTER_MATRIX).ctypes.data
+
+
+def quantize_blocks(coefficients: np.ndarray, qp: int, intra: bool, method: int) -> np.ndarray:
+    """Quantize ``(..., 8, 8)`` DCT coefficient blocks to int32 levels.
+
+    The plane kernel's ``quantize_blocks``; bit-exact with
+    :func:`repro.codec.quant.quantize_any`, its fallback.
+    """
+    lib = _load_sad_kernel()
+    if lib is None:
+        return quantize_any(coefficients, qp, intra, method)
+    weights = _weights(qp, intra, method)
+    coefficients = np.ascontiguousarray(coefficients, dtype=np.float64)
+    if coefficients.shape[-2:] != (8, 8):
+        raise ValueError(f"expected trailing 8x8 blocks, got {coefficients.shape}")
+    levels = np.empty(coefficients.shape, dtype=np.int32)
+    lib.quantize_blocks(
+        coefficients.ctypes.data, coefficients.size // 64, qp, int(intra), weights,
+        levels.ctypes.data,
+    )
+    return levels
+
+
+def dequantize_blocks(levels: np.ndarray, qp: int, intra: bool, method: int) -> np.ndarray:
+    """Reconstruct float64 coefficients from ``(..., 8, 8)`` int32 levels.
+
+    The plane kernel's ``dequantize_blocks``; bit-exact with
+    :func:`repro.codec.quant.dequantize_any`, its fallback.
+    """
+    lib = _load_sad_kernel()
+    if lib is None:
+        return dequantize_any(levels, qp, intra, method)
+    weights = _weights(qp, intra, method)
+    levels = np.ascontiguousarray(levels, dtype=np.int32)
+    if levels.shape[-2:] != (8, 8):
+        raise ValueError(f"expected trailing 8x8 blocks, got {levels.shape}")
+    coefficients = np.empty(levels.shape, dtype=np.float64)
+    lib.dequantize_blocks(
+        levels.ctypes.data, levels.size // 64, qp, int(intra), weights,
+        coefficients.ctypes.data,
+    )
+    return coefficients
+
+
+def store_macroblocks(store, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
+    """Write reconstructed macroblocks into a frame store.
+
+    ``values`` holds n macroblocks as ``(n, 6, 8, 8)`` float64 blocks in
+    :func:`predict_many` order; macroblock i lands at macroblock row
+    ``rows[i]``, column ``cols[i]`` of the store's interior as
+    ``np.clip(np.rint(v), 0, 255)`` (ties to even).  The border samples
+    stay untouched.  One call to the plane kernel's ``store_macroblocks``;
+    a NumPy scatter without it.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    cols = np.ascontiguousarray(cols, dtype=np.int64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    n = rows.size
+    if rows.ndim != 1 or cols.shape != rows.shape or values.shape != (n, 6, 8, 8):
+        raise ValueError("expected n macroblock positions and (n, 6, 8, 8) values")
+    if n and (
+        min(rows.min(), cols.min()) < 0
+        or rows.max() >= store.height // MB_SIZE
+        or cols.max() >= store.width // MB_SIZE
+    ):
+        raise ValueError("macroblock position outside the frame store")
+    lib = _load_sad_kernel()
+    if lib is not None:
+        lib.store_macroblocks(
+            store.y.ctypes.data, store.y.strides[0], store.u.ctypes.data,
+            store.v.ctypes.data, store.u.strides[0], BORDER, n, rows.ctypes.data,
+            cols.ctypes.data, values.ctypes.data,
+        )
+        return
+    pixels = np.clip(np.rint(values), 0, 255).astype(np.uint8)
+    mb_rows, mb_cols = store.height // MB_SIZE, store.width // MB_SIZE
+    # Each interior as a grid of macroblocks: splitting axes keeps a view,
+    # so the writes land in the planes.
+    luma = store.y[BORDER : BORDER + mb_rows * MB_SIZE, BORDER : BORDER + mb_cols * MB_SIZE]
+    luma.reshape(mb_rows, 2, 8, mb_cols, 2, 8)[rows, :, :, cols] = (
+        pixels[:, :4].reshape(n, 2, 2, 8, 8).transpose(0, 1, 3, 2, 4)
+    )
+    for plane, block in ((store.u, 4), (store.v, 5)):
+        chroma = plane[BORDER : BORDER + mb_rows * 8, BORDER : BORDER + mb_cols * 8]
+        chroma.reshape(mb_rows, 8, mb_cols, 8)[rows, :, cols] = pixels[:, block]
+
+
 def gather_plane_blocks(
     plane: np.ndarray, border: int, rows: int, cols: int, n: int
 ) -> np.ndarray:
@@ -465,16 +679,6 @@ def gather_plane_blocks(
     interior = plane[border : border + rows * n, border : border + cols * n]
     return np.ascontiguousarray(
         interior.reshape(rows, n, cols, n).transpose(0, 2, 1, 3)
-    )
-
-
-def scatter_plane_blocks(
-    plane: np.ndarray, blocks: np.ndarray, border: int
-) -> None:
-    """Write a ``(rows, cols, n, n)`` block tensor into a plane interior."""
-    rows, cols, n, _ = blocks.shape
-    plane[border : border + rows * n, border : border + cols * n] = (
-        blocks.transpose(0, 2, 1, 3).reshape(rows * n, cols * n)
     )
 
 

@@ -42,7 +42,10 @@ from repro.codec.batched import (
     KIND_INTER,
     KIND_INTRA,
     MacroblockRows,
+    bidirectional_predict,
+    dequantize_blocks,
     predict_many,
+    store_macroblocks,
 )
 from repro.codec.dct import inverse_dct
 from repro.codec.encoder import LUMA_BLOCK_OFFSETS
@@ -779,33 +782,17 @@ class VopDecoder:
                 f"escapes reference {height}x{width}"
             )
 
-    def _scatter_row_pixels(self, store: FrameStore, row: int, pixels: np.ndarray) -> None:
-        """Write one macroblock row of (cols, 6, 8, 8) uint8 blocks."""
-        mb_cols = pixels.shape[0]
-        y16 = np.empty((mb_cols, MB_SIZE, MB_SIZE), dtype=np.uint8)
-        for index, (by, bx) in enumerate(LUMA_BLOCK_OFFSETS):
-            y16[:, by : by + 8, bx : bx + 8] = pixels[:, index]
-        y0 = BORDER + row * MB_SIZE
-        cy0 = BORDER + row * 8
-        store.y[y0 : y0 + MB_SIZE, BORDER : BORDER + mb_cols * MB_SIZE] = (
-            y16.transpose(1, 0, 2).reshape(MB_SIZE, mb_cols * MB_SIZE)
-        )
-        store.u[cy0 : cy0 + 8, BORDER : BORDER + mb_cols * 8] = (
-            pixels[:, 4].transpose(1, 0, 2).reshape(8, mb_cols * 8)
-        )
-        store.v[cy0 : cy0 + 8, BORDER : BORDER + mb_cols * 8] = (
-            pixels[:, 5].transpose(1, 0, 2).reshape(8, mb_cols * 8)
-        )
-
     def _reconstruct_rows(self, pending, parsed, past, future, recon_store) -> None:
         """Reconstruct the pending rows of ``parsed`` in one pass,
         emptying ``pending`` (row -> qp).
 
-        Predictions take one ``predict_many`` per reference store;
+        Every macroblock is predicted from each reference store in one
+        ``predict_many`` call (an absent vector reads as zero, and an
+        intra macroblock's prediction is overwritten), and
+        ``bidirectional_predict`` applies the modes the vectors give;
         dequantization and IDCT run once per (qp, intra) group over just
         the blocks that carry levels (an uncoded inter block is its
-        prediction); each row then lands in the store with one strip
-        write.
+        prediction); ``store_macroblocks`` writes the whole pass.
         """
         if not pending:
             return
@@ -823,27 +810,29 @@ class VopDecoder:
             levels = parsed.levels.reshape(-1, 6, 64)
             qp_of = np.repeat(pending_qps, mb_cols)
 
-            recon = np.empty((n_mbs, 6, 8, 8), dtype=np.float64)
-            from_past = info[:, F_FWD] != 0
-            for forward, store, present, dx, dy in (
-                (True, past, from_past, F_FWD_DX, F_FWD_DY),
-                (False, future, info[:, F_BWD] != 0, F_BWD_DX, F_BWD_DY),
-            ):
-                select = np.flatnonzero(present)
-                if not select.size:
-                    continue
-                prediction, _ = predict_many(
-                    store.y, store.u, store.v,
-                    row_of[select] * MB_SIZE, col_of[select] * MB_SIZE,
-                    info[select, dx], info[select, dy], BORDER,
+            mb_ys, mb_xs = row_of * MB_SIZE, col_of * MB_SIZE
+            if past is None:  # an I-VOP
+                recon = np.empty((n_mbs, 6, 8, 8), dtype=np.float64)
+            else:
+                recon, _ = predict_many(
+                    past.y, past.u, past.v, mb_ys, mb_xs,
+                    info[:, F_FWD_DX], info[:, F_FWD_DY], BORDER,
                 )
-                if forward:
-                    recon[select] = prediction
-                    continue
-                both = from_past[select]
-                recon[select[~both]] = prediction[~both]
-                average = select[both]  # bidirectional: the rounded average
-                recon[average] = (recon[average] + prediction[both] + 1.0) // 2
+            if future is not None:
+                backward, _ = predict_many(
+                    future.y, future.u, future.v, mb_ys, mb_xs,
+                    info[:, F_BWD_DX], info[:, F_BWD_DY], BORDER,
+                )
+                modes = np.where(
+                    info[:, F_BWD] != 0,
+                    np.where(
+                        info[:, F_FWD] != 0,
+                        PredictionMode.BIDIRECTIONAL.value,
+                        PredictionMode.BACKWARD.value,
+                    ),
+                    PredictionMode.FORWARD.value,
+                )
+                bidirectional_predict(recon, backward, modes)
             recon = recon.reshape(n_mbs * 6, 8, 8)
             intra = info[:, F_KIND] == KIND_INTRA
             # The coded blocks of inter MBs, in (MB, block) order.
@@ -855,20 +844,19 @@ class VopDecoder:
                 mbs = np.flatnonzero(intra & at_qp)
                 if mbs.size:
                     blocks = (mbs[:, None] * 6 + np.arange(6)).ravel()
-                    recon[blocks] = self._recon_idct(dequantize_any(
+                    recon[blocks] = self._recon_idct(dequantize_blocks(
                         levels[mb_ids[mbs]].reshape(-1, 8, 8), qp, True,
                         self.quant_method,
                     ))
                 mbs, indices = np.nonzero(coded & at_qp[:, None])
                 if mbs.size:
-                    recon[mbs * 6 + indices] += self._recon_idct(dequantize_any(
+                    recon[mbs * 6 + indices] += self._recon_idct(dequantize_blocks(
                         levels[mb_ids[mbs], indices].reshape(-1, 8, 8), qp, False,
                         self.quant_method,
                     ))
-            pixels = np.clip(np.rint(recon), 0, 255).astype(np.uint8)
-            pixels = pixels.reshape(rows.size, mb_cols, 6, 8, 8)
-            for row, row_pixels in zip(rows.tolist(), pixels):
-                self._scatter_row_pixels(recon_store, row, row_pixels)
+            store_macroblocks(
+                recon_store, row_of, col_of, recon.reshape(n_mbs, 6, 8, 8)
+            )
 
     # -- data-partitioned packets ---------------------------------------------
 

@@ -26,13 +26,16 @@ from repro.codec import vlc
 from repro.codec.batched import (
     SEARCH_RECORD_FIELDS,
     PlaneSearch,
+    bidirectional_predict,
+    dequantize_blocks,
     full_search_plane,
     gather_plane_blocks,
     half_pel_refine_plane,
     intra_decisions,
     predict_many,
-    scatter_plane_blocks,
+    quantize_blocks,
     search_plane,
+    store_macroblocks,
 )
 from repro.codec.bitstream import (
     MOTION_MARKER_STARTCODE,
@@ -566,15 +569,13 @@ class VopEncoder:
         blocks[:, :, 5] = v8
         return blocks, y16
 
-    def _scatter_mb_pixels(self, store: FrameStore, pixels: np.ndarray) -> None:
-        """Write a whole VOP of (rows, cols, 6, 8, 8) uint8 blocks."""
-        rows, cols = pixels.shape[:2]
-        y16 = np.empty((rows, cols, MB_SIZE, MB_SIZE), dtype=np.uint8)
-        for index, (by, bx) in enumerate(LUMA_BLOCK_OFFSETS):
-            y16[:, :, by : by + 8, bx : bx + 8] = pixels[:, :, index]
-        scatter_plane_blocks(store.y, y16, BORDER)
-        scatter_plane_blocks(store.u, pixels[:, :, 4], BORDER)
-        scatter_plane_blocks(store.v, pixels[:, :, 5], BORDER)
+    def _every_mb(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (row, col) of every macroblock, in raster order."""
+        mb_rows, mb_cols = self.config.mb_rows, self.config.mb_cols
+        return (
+            np.repeat(np.arange(mb_rows, dtype=np.int64), mb_cols),
+            np.tile(np.arange(mb_cols, dtype=np.int64), mb_rows),
+        )
 
     def _batched_motion(self, ref_store: FrameStore):
         """Whole-VOP motion search against one reference store.
@@ -675,7 +676,7 @@ class VopEncoder:
         ``write_bits`` per event.
         """
         method = self.config.quant_method
-        levels = quantize_any(forward_dct(residual), qp, False, method)
+        levels = quantize_blocks(forward_dct(residual), qp, False, method)
         n_mbs = levels.shape[0]
         scanned = zigzag_scan(levels).reshape(n_mbs * 6, 64)
         counts, payload = self._event_payload(scanned)
@@ -774,10 +775,11 @@ class VopEncoder:
         method = config.quant_method
         with obs.span("codec.encode.dct_quant"):
             blocks, _ = self._gather_mb_tensor(self._cur)
-            levels = quantize_any(forward_dct(blocks), qp, True, method)
-            recon = self._recon_idct(dequantize_any(levels, qp, True, method))
-            pixels = np.clip(np.rint(recon), 0, 255).astype(np.uint8)
-            self._scatter_mb_pixels(recon_store, pixels)
+            levels = quantize_blocks(forward_dct(blocks), qp, True, method)
+            recon = self._recon_idct(dequantize_blocks(levels, qp, True, method))
+            store_macroblocks(
+                recon_store, *self._every_mb(), recon.reshape(-1, 6, 8, 8)
+            )
         with obs.span("codec.encode.serialize"):
             self._serialize_i_vop(writer, qp, levels, recon_store, vop_stats)
 
@@ -931,27 +933,21 @@ class VopEncoder:
                 qp, residual
             )
             recon = prediction + self._recon_idct(
-                dequantize_any(levels, qp, False, method)
+                dequantize_blocks(levels, qp, False, method)
             )
-            pixels = np.empty((mb_rows, mb_cols, 6, 8, 8), dtype=np.uint8)
-            pixels[inter_rows, inter_cols] = np.clip(np.rint(recon), 0, 255).astype(
-                np.uint8
-            )
+            store_macroblocks(recon_store, inter_rows, inter_cols, recon)
             # Intra macroblocks reconstruct in batch too (their recon does not
             # depend on prediction state); headers/events serialize below.
             intra_rows, intra_cols = np.nonzero(intra_sel)
             intra_levels = None
             if intra_rows.size:
-                intra_levels = quantize_any(
+                intra_levels = quantize_blocks(
                     forward_dct(cur_blocks[intra_rows, intra_cols]), qp, True, method
                 )
-                intra_recon = self._recon_idct(
-                    dequantize_any(intra_levels, qp, True, method)
+                store_macroblocks(
+                    recon_store, intra_rows, intra_cols,
+                    self._recon_idct(dequantize_blocks(intra_levels, qp, True, method)),
                 )
-                pixels[intra_rows, intra_cols] = np.clip(
-                    np.rint(intra_recon), 0, 255
-                ).astype(np.uint8)
-            self._scatter_mb_pixels(recon_store, pixels)
 
         inter_index = np.full((mb_rows, mb_cols), -1, dtype=np.int64)
         inter_index[inter_rows, inter_cols] = np.arange(inter_rows.size)
@@ -1037,30 +1033,21 @@ class VopEncoder:
         with obs.span("codec.encode.motion_search", refs=2):
             f_dx, f_dy, f_sad, f_cand, f_search = self._batched_motion(past)
             b_dx, b_dy, b_sad, b_cand, b_search = self._batched_motion(future)
-        mb_ys = np.repeat(np.arange(mb_rows, dtype=np.int64) * MB_SIZE, mb_cols)
-        mb_xs = np.tile(np.arange(mb_cols, dtype=np.int64) * MB_SIZE, mb_rows)
+        every_row, every_col = self._every_mb()
+        mb_ys, mb_xs = every_row * MB_SIZE, every_col * MB_SIZE
         with obs.span("codec.encode.predict"):
-            pred_f, luma_f = predict_many(
+            prediction, luma_f = predict_many(
                 past.y, past.u, past.v, mb_ys, mb_xs, f_dx.ravel(), f_dy.ravel(),
                 BORDER,
             )
-            pred_b, luma_b = predict_many(
+            backward, luma_b = predict_many(
                 future.y, future.u, future.v, mb_ys, mb_xs,
                 b_dx.ravel(), b_dy.ravel(), BORDER,
             )
-            cur_luma = y16.reshape(n_mbs, MB_SIZE, MB_SIZE).astype(np.int32)
-            bi_luma = (luma_f.astype(np.int32) + luma_b.astype(np.int32) + 1) // 2
-            sad_bi = np.abs(cur_luma - bi_luma).sum(axis=(1, 2), dtype=np.int64)
-            sad_f = f_sad.ravel()
-            sad_b = b_sad.ravel()
-            # Mode decision replicates Python's min() first-minimum tie-break.
-            mode_f = (sad_f <= sad_b) & (sad_f <= sad_bi)
-            mode_b = ~mode_f & (sad_b <= sad_bi)
-            pred_bi = (pred_f + pred_b + 1.0) // 2
-            choose_f = mode_f[:, None, None, None]
-            choose_b = mode_b[:, None, None, None]
-            prediction = np.where(
-                choose_f, pred_f, np.where(choose_b, pred_b, pred_bi)
+            mode = np.empty(n_mbs, dtype=np.int64)
+            bidirectional_predict(
+                prediction, backward, mode,
+                decide=(luma_f, luma_b, y16, f_sad.ravel(), b_sad.ravel()),
             )
             residual = cur_blocks.reshape(n_mbs, 6, 8, 8) - prediction
         with obs.span("codec.encode.dct_quant"):
@@ -1068,20 +1055,12 @@ class VopEncoder:
                 qp, residual
             )
             recon = prediction + self._recon_idct(
-                dequantize_any(levels, qp, False, method)
+                dequantize_blocks(levels, qp, False, method)
             )
-            pixels = (
-                np.clip(np.rint(recon), 0, 255)
-                .astype(np.uint8)
-                .reshape(mb_rows, mb_cols, 6, 8, 8)
-            )
-            self._scatter_mb_pixels(recon_store, pixels)
+            store_macroblocks(recon_store, every_row, every_col, recon)
 
-        modes = np.where(
-            mode_f,
-            PredictionMode.FORWARD.value,
-            np.where(mode_b, PredictionMode.BACKWARD.value, PredictionMode.BIDIRECTIONAL.value),
-        ).reshape(mb_rows, mb_cols).tolist()
+        mode_grid = mode.reshape(mb_rows, mb_cols)
+        modes = mode_grid.tolist()
         f_dx_l, f_dy_l = f_dx.tolist(), f_dy.tolist()
         b_dx_l, b_dy_l = b_dx.tolist(), b_dy.tolist()
         candidates_l = (f_cand + b_cand).tolist()
@@ -1129,7 +1108,7 @@ class VopEncoder:
             # zero vectors) has no texture.
             tk = self._tk
             coded = np.asarray(cbp, dtype=np.int64).reshape(mb_rows, mb_cols)
-            bidirectional = (~mode_f & ~mode_b).reshape(mb_rows, mb_cols)
+            bidirectional = mode_grid == PredictionMode.BIDIRECTIONAL.value
             zero = (f_dx == 0) & (f_dy == 0) & (b_dx == 0) & (b_dy == 0)
             every = np.ones((mb_rows, mb_cols), dtype=bool)
             emit_row = self._row_emitter(

@@ -4,12 +4,15 @@ The three performance-critical kernels of the reproduction -- the
 memory hierarchy simulator (:mod:`repro.memsim.fastpath`), the codec's
 plane kernel (:mod:`repro.codec.batched`: motion search with its
 early-termination work model and half-pel refinement, traced or not, and
-motion compensation) and its macroblock-row parser (the batched
-decoder's VLC parse) -- follow the same playbook: a pure-Python/NumPy
-reference implementation is the oracle, and a tiny single-file C kernel
-is compiled at runtime with the system compiler for the hot path.  This module holds the shared
-machinery: compiler discovery, per-source-digest caching, and atomic
-publication so concurrent workers never load a half-written library.
+the texture path around the DCT matmuls: prediction, the B-VOP mix,
+quantization and dequantization, and the round-clip-store into the
+frame store) and its macroblock-row parser (the batched decoder's VLC
+parse) -- follow the same playbook: a pure-Python/NumPy reference
+implementation is the oracle, and a tiny single-file C kernel is
+compiled at runtime with the system compiler for the hot path.  This
+module holds the shared machinery: compiler discovery, caching keyed on
+the source and the compile command, and atomic publication so
+concurrent workers never load a half-written library.
 
 When no C compiler is available, or the cache directory cannot be
 created or written, :func:`load_library` returns None and every caller
@@ -33,6 +36,10 @@ from pathlib import Path
 #: the system temp directory).
 CACHE_ENV = "REPRO_KERNEL_CACHE"
 
+#: Flags of every kernel build.  No kernel links libm, as none calls it
+#: (``tests/test_native_build.py`` checks the built libraries).
+BUILD_FLAGS = ("-O2", "-shared", "-fPIC")
+
 #: Loaded libraries by cache path, so repeated loads share one CDLL.
 _loaded: dict[str, ctypes.CDLL | None] = {}
 
@@ -52,14 +59,24 @@ def find_compiler() -> str | None:
     return None
 
 
-def _build(source: Path, out: Path) -> bool:
-    compiler = find_compiler()
-    if compiler is None:
-        return False
+def library_path(source_bytes: bytes, prefix: str, compiler: str) -> Path:
+    """Where the library built from ``source_bytes`` is cached: the name
+    hashes the source, the platform and the compile command (the
+    compiler's path, symlinks resolved, and :data:`BUILD_FLAGS`), so a
+    change to any of them builds anew."""
+    key = hashlib.sha256()
+    command = (os.path.realpath(compiler), *BUILD_FLAGS)
+    for part in (source_bytes, sysconfig.get_platform().encode(),
+                 *(word.encode() for word in command)):
+        key.update(len(part).to_bytes(8, "little") + part)
+    return cache_dir() / f"{prefix}-{key.hexdigest()[:16]}.so"
+
+
+def _build(source: Path, out: Path, compiler: str) -> bool:
     # Build to a private name, then publish atomically so concurrent
     # replay workers never load a half-written library.
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
-    cmd = [compiler, "-O2", "-shared", "-fPIC", str(source), "-o", str(tmp)]
+    cmd = [compiler, *BUILD_FLAGS, str(source), "-o", str(tmp)]
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         subprocess.run(cmd, check=True, capture_output=True, text=True, timeout=120)
@@ -74,23 +91,24 @@ def _build(source: Path, out: Path) -> bool:
 def load_library(source: Path, prefix: str) -> ctypes.CDLL | None:
     """Compile (if needed) and load one kernel source; None on any failure.
 
-    Compiled libraries are cached by source digest, so the build cost is
-    paid once per kernel revision per machine.
+    Compiled libraries are cached by :func:`library_path`, so the build
+    cost is paid once per kernel revision and compile command per
+    machine.
     """
+    compiler = find_compiler()
+    if compiler is None:
+        return None
     try:
         source_bytes = source.read_bytes()
     except OSError:
         return None
-    digest = hashlib.sha256(
-        source_bytes + sysconfig.get_platform().encode()
-    ).hexdigest()[:16]
-    so_path = cache_dir() / f"{prefix}-{digest}.so"
+    so_path = library_path(source_bytes, prefix, compiler)
     key = str(so_path)
     if key in _loaded:
         return _loaded[key]
     lib: ctypes.CDLL | None = None
     try:
-        if so_path.exists() or _build(source, so_path):
+        if so_path.exists() or _build(source, so_path, compiler):
             lib = ctypes.CDLL(key)
     except OSError:
         lib = None

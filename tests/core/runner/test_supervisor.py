@@ -9,6 +9,7 @@ and the retry succeeds.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
 import signal
@@ -303,11 +304,17 @@ class TestSupervisedPoolCrashes:
 
     def test_rss_watchdog_kills_bloated_worker(self, tmp_path):
         marker = str(tmp_path / "bloated")
+        # The worker must start small: a fork of the suite's process would
+        # inherit its RSS, and the budget could kill it before the
+        # ballast exists.  A forkserver (or spawned) worker starts from a
+        # fresh interpreter.
+        methods = multiprocessing.get_all_start_methods()
         pool = _pool(
             budget=WorkerBudget(
                 wall_s=20.0, heartbeat_s=30.0,
                 rss_bytes=128 * 1024 * 1024,
             ),
+            mp_context="forkserver" if "forkserver" in methods else "spawn",
         )
         outcomes = pool.run([("t", _bloat_once, (marker, "slimmed"))])
         outcome = outcomes["t"]

@@ -11,6 +11,7 @@ the entry points its loader binds, and compile warning-free.
 
 from __future__ import annotations
 
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -18,16 +19,27 @@ import pytest
 
 import repro
 from repro.codec import batched
+from repro.native import build
 from repro.native.build import CACHE_ENV, find_compiler, load_library
 
 #: The entry points each kernel's loader binds, by source file.
 ENTRY_POINTS = {
-    "codec/_sad_kernel.c": ("sad_full_search", "compensate_blocks"),
+    "codec/_sad_kernel.c": (
+        "sad_full_search", "predict_mbs", "bidirectional_mbs", "quantize_blocks",
+        "dequantize_blocks", "store_macroblocks",
+    ),
     "codec/_parse_kernel.c": ("parse_mb_row",),
     "memsim/_fastpath_kernel.c": ("process_batch", "replay_batches"),
 }
 
 SOURCE_ROOT = Path(repro.__file__).parent
+
+#: libm functions a kernel could reach for; no kernel links libm, so a
+#: call to one would resolve only where the host process loaded it.
+LIBM_NAMES = {
+    "ceil", "copysign", "exp", "fabs", "floor", "fmod", "llrint", "llround",
+    "log", "lrint", "lround", "nearbyint", "pow", "rint", "round", "sqrt", "trunc",
+}
 
 
 def missing_parent(tmp_path: Path) -> tuple[Path, type[OSError]]:
@@ -81,3 +93,39 @@ def test_every_kernel_source_builds(source, tmp_path, monkeypatch):
     assert lib is not None, f"{source} did not build"
     for name in ENTRY_POINTS[source]:
         assert hasattr(lib, name), f"{source} does not export {name}"
+
+
+@pytest.mark.parametrize("source", sorted(ENTRY_POINTS))
+def test_no_kernel_calls_libm(source, tmp_path, monkeypatch):
+    if find_compiler() is None or shutil.which("nm") is None:
+        pytest.skip("needs a C compiler and nm")
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "kernels"))
+    path = SOURCE_ROOT / source
+    assert load_library(path, path.stem.strip("_")) is not None
+    (library,) = (tmp_path / "kernels").glob("*.so")
+    listed = subprocess.run(
+        ["nm", "-D", "--undefined-only", str(library)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    undefined = {line.split()[-1].split("@")[0] for line in listed.stdout.splitlines()}
+    assert not undefined & LIBM_NAMES, sorted(undefined & LIBM_NAMES)
+
+
+def test_cache_keys_on_the_compile_command(tmp_path, monkeypatch):
+    """A new compiler or new flags build a new library instead of loading
+    the one an older command left in the cache."""
+    compiler = find_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler: every caller runs its fallback")
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "kernels"))
+    source = SOURCE_ROOT / "codec/_sad_kernel.c"
+    source_bytes = source.read_bytes()
+    first = build.library_path(source_bytes, "sad", compiler)
+    assert build.library_path(source_bytes, "sad", str(tmp_path / "other-cc")) != first
+    assert load_library(source, "sad") is not None
+    assert first.exists()
+    monkeypatch.setattr(build, "BUILD_FLAGS", (*build.BUILD_FLAGS, "-DFLAGS_CHANGED"))
+    second = build.library_path(source_bytes, "sad", compiler)
+    assert second != first
+    assert load_library(source, "sad") is not None
+    assert second.exists()

@@ -109,6 +109,25 @@ class TestQuality:
         with pytest.raises(ValueError):
             mse(np.zeros((4, 4)), np.zeros((4, 5)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        height=st.integers(1, 80),
+        width=st.integers(1, 96),
+        spread=st.sampled_from([1, 16, 256]),
+    )
+    def test_uint8_mse_equals_the_float64_mean(self, seed, height, width, spread):
+        """The exact integer path gives the float the float64 mean gives,
+        from identical planes to ones a full 255 apart everywhere."""
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 256, (height, width)).astype(np.uint8)
+        b = np.clip(a.astype(np.int32) + rng.integers(-spread, spread, a.shape), 0, 255)
+        b = b.astype(np.uint8)
+        diff = a.astype(np.float64) - b.astype(np.float64)
+        assert mse(a, b) == float(np.mean(diff * diff))
+        full = np.full_like(a, 255)
+        assert mse(np.zeros_like(a), full) == 255.0**2
+
     def test_frame_psnr_uses_luma(self):
         a = YuvFrame.blank(16, 16)
         b = a.copy()
