@@ -30,12 +30,12 @@
  * mirrored by repro.codec.batched).
  *
  * The batched encoder's and decoder's texture path runs here too, every
- * per-sample stage but the two DCT matmuls, each transcribing its NumPy
- * oracle exactly:
+ * per-sample stage but the two DCT matmuls, each transcribing its oracle
+ * in the reference engine exactly (there is no other batched body):
  *
  *   - predict_mbs(): the six-block motion-compensated prediction of many
  *     macroblocks from one reference store (motion.compensate per block,
- *     batched.compensate_many without the kernel);
+ *     as VopEncoder._predict_mb calls it);
  *   - bidirectional_mbs(): the B-VOP mode decision and the rounded
  *     average of the forward and backward predictions;
  *   - quantize_blocks() / dequantize_blocks(): both methods of
@@ -262,7 +262,7 @@ enum { MB_SAMPLES = 6 * 64 };
  * Macroblock i sits at frame origin (mb_ys[i], mb_xs[i]) (the store's
  * planes carry border samples on every side) and moves by the luma
  * vector (mv_dx[i], mv_dy[i]) in half-pels; chroma moves by half of
- * it, rounded toward zero (batched.chroma_mv).  pred receives n records
+ * it, rounded toward zero (MotionVector.chroma).  pred receives n records
  * of six 8x8 doubles in block order (luma quadrants row-major, U, V),
  * luma the n 16x16 luma predictions.  Returns -1, or the first
  * macroblock whose luma or chroma source escapes its plane. */

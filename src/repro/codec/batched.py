@@ -3,38 +3,39 @@
 The reference encoder/decoder (:mod:`repro.codec.encoder`,
 :mod:`repro.codec.decoder`) walk macroblocks one at a time through
 Python loops -- faithful to the scalar code the paper profiles, but slow.
-This module lifts the pixel-level hot paths to whole-VOP granularity:
+This module lifts the pixel-level hot paths to whole-VOP granularity.
+Each of these is one call to a small C kernel, the plane kernel
+(``_sad_kernel.c``, compiled on demand via :mod:`repro.native.build`,
+same playbook as the simulator fast path):
 
-- :func:`search_plane`: the whole motion search of a VOP in one call to
-  a small C kernel (``_sad_kernel.c``, compiled on demand via
-  :mod:`repro.native.build`, same playbook as the simulator fast path):
-  per macroblock, the zero-biased full-pel search over the clamped
-  window, its early-termination work model (the read counts and row
-  coverage the trace replays) and the half-pel refinement.  It serves
-  traced, untraced and clamped searches alike.
-- :func:`full_search_plane` / :func:`half_pel_refine_plane`: the same
-  search as two NumPy sweeps (one sliding-window pass per vertical
-  offset, then one 18x18 patch gather per MB).  With the per-MB search
-  of :mod:`repro.codec.motion`, they are the fallback when no compiler
-  is available.
-- the texture path around the DCT matmuls, each stage one call to the
-  same kernel with a NumPy body as its fallback:
-  :func:`predict_many` (six-block motion compensation of many
-  macroblocks from one reference store; :func:`compensate_many` is the
-  NumPy body, grouped by half-pel phase), :func:`bidirectional_predict`
-  (the B-VOP mode decision and mix), :func:`quantize_blocks` /
-  :func:`dequantize_blocks` (both methods of :mod:`repro.codec.quant`)
-  and :func:`store_macroblocks` (round, clip and write reconstructed
-  macroblocks into a frame store).  The reference engine keeps
-  :mod:`repro.codec.quant` and :func:`repro.codec.motion.compensate`,
-  the oracles.
+- :func:`search_plane`: the whole motion search of a VOP.  Per
+  macroblock, the zero-biased full-pel search over the clamped window,
+  its early-termination work model (the read counts and row coverage
+  the trace replays) and the half-pel refinement.  It serves traced,
+  untraced and clamped searches alike.
+- the texture path around the DCT matmuls: :func:`predict_many`
+  (six-block motion compensation of many macroblocks from one reference
+  store), :func:`bidirectional_predict` (the B-VOP mode decision and
+  mix), :func:`quantize_blocks` / :func:`dequantize_blocks` (both
+  methods of :mod:`repro.codec.quant`) and :func:`store_macroblocks`
+  (round, clip and write reconstructed macroblocks into a frame store).
+
+They have no second body: called without the kernel they raise
+``RuntimeError``, and without a compiler the codec runs its reference
+engine instead (:func:`repro.codec.engine.codec_engine`), whose
+:func:`repro.codec.motion.full_search`,
+:func:`~repro.codec.motion.half_pel_refine`,
+:func:`~repro.codec.motion.compensate` and :mod:`repro.codec.quant` are
+their oracles.  Beside them:
+
 - :func:`gather_plane_blocks`: a plane as a ``(rows, cols, n, n)`` block
   tensor.
 - :func:`intra_decisions`: the VM intra/inter mode decision for all MBs.
 - :class:`MacroblockRows`: a VOP's parsed macroblock rows as dense
   arrays, each row parsed in one call to ``_parse_kernel.c`` when it
   can be; the decoder's ``_parse_mb_row`` stays the parser of record and
-  re-parses any row the kernel hands back.
+  re-parses any row the kernel hands back, and parses every row when
+  the parse kernel cannot be built.
 
 Everything here is bit-exact with the per-macroblock reference functions
 in :mod:`repro.codec.motion`, :mod:`repro.codec.quant` and
@@ -53,11 +54,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.codec import vlc
 from repro.codec.framestore import BORDER
-from repro.codec.motion import ZERO_MV_BIAS, MotionVector, PredictionMode
+from repro.codec.motion import ZERO_MV_BIAS, MotionVector
 from repro.codec.predict import DEFAULT_DC
 from repro.codec.quant import (
     DEFAULT_INTER_MATRIX,
@@ -65,8 +65,6 @@ from repro.codec.quant import (
     METHOD_H263,
     METHOD_MPEG,
     ZIGZAG,
-    dequantize_any,
-    quantize_any,
     validate_qp,
 )
 from repro.codec.types import VopType
@@ -114,6 +112,22 @@ def _load_sad_kernel():
 def sad_kernel_available() -> bool:
     """True when the compiled SAD search kernel can be used."""
     return _load_sad_kernel() is not None
+
+
+#: Why the batched engine cannot run: the plane kernel is its only body.
+NO_PLANE_KERNEL = (
+    "the batched codec engine needs a C compiler (cc/gcc/clang) to build "
+    "its plane kernel; set REPRO_CODEC_ENGINE=reference to use the "
+    "per-macroblock engine"
+)
+
+
+def _plane_kernel():
+    """The compiled plane kernel; raises when it cannot be loaded."""
+    lib = _load_sad_kernel()
+    if lib is None:
+        raise RuntimeError(NO_PLANE_KERNEL)
+    return lib
 
 
 @dataclass(frozen=True)
@@ -166,7 +180,7 @@ def search_plane(
     mb_cols: int,
     search_range: int,
     half_pel: bool,
-) -> PlaneSearch | None:
+) -> PlaneSearch:
     """Motion search for every macroblock of a plane in one kernel call.
 
     ``reference`` and ``current`` are full padded planes (border pixels on
@@ -175,12 +189,9 @@ def search_plane(
     ``search_range`` works.  Per MB the result equals
     :func:`repro.codec.motion.full_search` (``model_work=True``)
     followed, when ``half_pel`` is set, by
-    :func:`repro.codec.motion.half_pel_refine`.  Returns None when the
-    kernel is unavailable.
+    :func:`repro.codec.motion.half_pel_refine`.
     """
-    lib = _load_sad_kernel()
-    if lib is None:
-        return None
+    lib = _plane_kernel()
     if reference.shape != current.shape or reference.ndim != 2:
         raise ValueError("reference and current must be planes of one shape")
     height, width = reference.shape
@@ -212,237 +223,8 @@ def search_plane(
     return PlaneSearch(*np.moveaxis(records, -1, 0), coverage=coverage)
 
 
-def full_search_plane(
-    reference: np.ndarray,
-    current: np.ndarray,
-    border: int,
-    mb_rows: int,
-    mb_cols: int,
-    search_range: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full-pel exhaustive SAD search for every macroblock of a plane.
-
-    The planes are laid out as for :func:`search_plane`.  Requires
-    ``search_range <= border`` so that no window is ever clamped -- then
-    the result is identical to :func:`repro.codec.motion.full_search` per
-    MB (same row-major argmin tie-break, same zero-MV bias).  Runs the
-    zero-seeded kernel when it is available and a NumPy sweep otherwise.
-
-    Returns ``(dx, dy, sad)`` int32 arrays of shape ``(mb_rows,
-    mb_cols)`` with displacements in **full-pel** units.
-    """
-    if search_range > border:
-        raise ValueError(
-            f"search_range {search_range} exceeds plane border {border}; "
-            "use the per-macroblock reference search"
-        )
-    if reference.shape != current.shape:
-        raise ValueError("reference and current plane shapes differ")
-    search = search_plane(
-        reference, current, border, mb_rows, mb_cols, search_range, half_pel=False
-    )
-    if search is not None:
-        full = (search.full_dx, search.full_dy, search.full_sad)
-        return tuple(a.astype(np.int32) for a in full)
-    return _full_search_plane_numpy(
-        np.ascontiguousarray(reference, dtype=np.uint8),
-        np.ascontiguousarray(current, dtype=np.uint8),
-        border, mb_rows, mb_cols, search_range,
-    )
-
-
-def _full_search_plane_numpy(reference, current, border, mb_rows, mb_cols, search_range):
-    """Pure-NumPy sweep: one sliding-window pass per vertical offset."""
-    n = MB_SIZE
-    span = 2 * search_range + 1
-    cur = current[
-        border : border + mb_rows * n, border : border + mb_cols * n
-    ].astype(np.int16)
-    # (rows, y, cols, x): current blocks addressed per (MB row, MB col).
-    cur_blocks = cur.reshape(mb_rows, n, mb_cols, n)
-    pos = np.arange(mb_cols)[:, None] * n + np.arange(span)[None, :]
-    sads = np.empty((mb_rows, mb_cols, span, span), dtype=np.int32)
-    for iy, dy in enumerate(range(-search_range, search_range + 1)):
-        strip = reference[
-            border + dy : border + dy + mb_rows * n,
-            border - search_range : border + mb_cols * n + search_range,
-        ].astype(np.int16)
-        win = sliding_window_view(strip, n, axis=1)
-        # (rows, y, candidate start, x) -> select each MB's span of starts.
-        winr = win.reshape(mb_rows, n, -1, n)
-        sel = winr[:, :, pos, :]  # (rows, y, cols, span, x)
-        diff = np.abs(sel - cur_blocks[:, :, :, None, :])
-        sads[:, :, iy, :] = diff.sum(axis=(1, 4), dtype=np.int32)
-    flat = sads.reshape(mb_rows, mb_cols, span * span)
-    center = search_range * span + search_range
-    flat[:, :, center] -= ZERO_MV_BIAS
-    idx = flat.argmin(axis=2)
-    sad = np.take_along_axis(flat, idx[..., None], axis=2)[..., 0]
-    zero = idx == center
-    sad = np.where(zero, sad + ZERO_MV_BIAS, sad).astype(np.int32)
-    dy = (idx // span - search_range).astype(np.int32)
-    dx = (idx % span - search_range).astype(np.int32)
-    return dx, dy, sad
-
-
-def half_pel_refine_plane(
-    reference: np.ndarray,
-    current: np.ndarray,
-    border: int,
-    full_dx: np.ndarray,
-    full_dy: np.ndarray,
-    full_sad: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Half-pel refinement of every macroblock's full-pel winner.
-
-    Bit-exact with :func:`repro.codec.motion.half_pel_refine` applied per
-    MB (same candidate scan order, strict-less updates, and plane-edge
-    exclusions).  Returns ``(dx, dy, sad, evaluated)`` where ``dx``/``dy``
-    are in **half-pel** units.
-    """
-    n = MB_SIZE
-    height, width = reference.shape
-    mb_rows, mb_cols = full_dx.shape
-    y0 = border + np.arange(mb_rows, dtype=np.int64)[:, None] * n
-    x0 = border + np.arange(mb_cols, dtype=np.int64)[None, :] * n
-    py = y0 + full_dy.astype(np.int64)  # full-pel winner origin per MB
-    px = x0 + full_dx.astype(np.int64)
-    # One 18x18 patch per MB covers all nine half-pel candidates; indices
-    # are clipped only where the corresponding candidate is excluded by
-    # the reference bounds check, so clipping never alters a used pixel.
-    ar = np.arange(n + 2, dtype=np.int64)
-    rows = np.clip(py[:, :, None] - 1 + ar[None, None, :], 0, height - 1)
-    cols = np.clip(px[:, :, None] - 1 + ar[None, None, :], 0, width - 1)
-    patch = reference[rows[:, :, :, None], cols[:, :, None, :]].astype(np.uint16)
-    cur = current[
-        border : border + mb_rows * n, border : border + mb_cols * n
-    ].astype(np.int32)
-    cur_blocks = cur.reshape(mb_rows, n, mb_cols, n).transpose(0, 2, 1, 3)
-    # Reference bounds check in half-pel units, per candidate offset.
-    ok_up = py >= 1
-    ok_down = py + n + 1 <= height
-    ok_left = px >= 1
-    ok_right = px + n + 1 <= width
-    best_sad = full_sad.astype(np.int32).copy()
-    best_dx = (2 * full_dx).astype(np.int32)
-    best_dy = (2 * full_dy).astype(np.int32)
-    evaluated = np.zeros((mb_rows, mb_cols), dtype=np.int32)
-    for dy_half in (-1, 0, 1):
-        for dx_half in (-1, 0, 1):
-            if dx_half == 0 and dy_half == 0:
-                continue
-            valid = np.ones((mb_rows, mb_cols), dtype=bool)
-            if dy_half == -1:
-                valid &= ok_up
-            elif dy_half == 1:
-                valid &= ok_down
-            if dx_half == -1:
-                valid &= ok_left
-            elif dx_half == 1:
-                valid &= ok_right
-            oy = 0 if dy_half == -1 else 1
-            ox = 0 if dx_half == -1 else 1
-            ry = dy_half & 1
-            rx = dx_half & 1
-            region = patch[:, :, oy : oy + n + ry, ox : ox + n + rx]
-            if rx and not ry:
-                pred = (region[:, :, :, :-1] + region[:, :, :, 1:] + 1) >> 1
-            elif ry and not rx:
-                pred = (region[:, :, :-1, :] + region[:, :, 1:, :] + 1) >> 1
-            else:
-                pred = (
-                    region[:, :, :-1, :-1]
-                    + region[:, :, :-1, 1:]
-                    + region[:, :, 1:, :-1]
-                    + region[:, :, 1:, 1:]
-                    + 2
-                ) >> 2
-            sad = np.abs(pred.astype(np.int32) - cur_blocks).sum(
-                axis=(2, 3), dtype=np.int32
-            )
-            evaluated += valid
-            win = valid & (sad < best_sad)
-            best_sad[win] = sad[win]
-            best_dx[win] = 2 * full_dx[win] + dx_half
-            best_dy[win] = 2 * full_dy[win] + dy_half
-    return best_dx, best_dy, best_sad, evaluated
-
-
 #: The error of a prediction whose source leaves its reference plane.
 _ESCAPES = "compensation source escapes reference plane"
-
-
-def compensate_many(
-    reference: np.ndarray,
-    ys: np.ndarray,
-    xs: np.ndarray,
-    mv_dx: np.ndarray,
-    mv_dy: np.ndarray,
-    size: int,
-) -> np.ndarray:
-    """Motion-compensated predictions for many blocks of one plane.
-
-    ``ys``/``xs`` are block origins in the *current* frame (flat arrays),
-    ``mv_dx``/``mv_dy`` the per-block displacements in half-pel units.
-    Bit-exact with :func:`repro.codec.motion.compensate` per block: the
-    blocks are grouped by half-pel phase so each group is one fancy-index
-    gather plus one vectorized bilinear mix.  This is the NumPy body of
-    :func:`predict_many`, used when the plane kernel is unavailable.
-    """
-    ys = np.asarray(ys, dtype=np.int64)
-    xs = np.asarray(xs, dtype=np.int64)
-    mv_dx = np.asarray(mv_dx, dtype=np.int64)
-    mv_dy = np.asarray(mv_dy, dtype=np.int64)
-    if ys.ndim != 1 or not ys.shape == xs.shape == mv_dx.shape == mv_dy.shape:
-        raise ValueError("origins and displacements must be flat, of one length")
-    height, width = reference.shape
-    fx, rxs = mv_dx >> 1, mv_dx & 1
-    fy, rys = mv_dy >> 1, mv_dy & 1
-    src_y = ys + fy
-    src_x = xs + fx
-    need_y = size + rys
-    need_x = size + rxs
-    if (
-        (src_y < 0).any()
-        or (src_x < 0).any()
-        or (src_y + need_y > height).any()
-        or (src_x + need_x > width).any()
-    ):
-        raise ValueError(_ESCAPES)
-    out = np.empty((ys.size, size, size), dtype=np.uint8)
-    ar = np.arange(size + 1, dtype=np.int64)
-    for ry in (0, 1):
-        for rx in (0, 1):
-            sel = np.flatnonzero((rys == ry) & (rxs == rx))
-            if not sel.size:
-                continue
-            ny, nx = size + ry, size + rx
-            rows = src_y[sel, None] + ar[None, :ny]
-            cols = src_x[sel, None] + ar[None, :nx]
-            patch = reference[rows[:, :, None], cols[:, None, :]].astype(np.uint16)
-            if not rx and not ry:
-                mixed = patch
-            elif rx and not ry:
-                mixed = (patch[:, :, :-1] + patch[:, :, 1:] + 1) >> 1
-            elif ry and not rx:
-                mixed = (patch[:, :-1, :] + patch[:, 1:, :] + 1) >> 1
-            else:
-                mixed = (
-                    patch[:, :-1, :-1]
-                    + patch[:, :-1, 1:]
-                    + patch[:, 1:, :-1]
-                    + patch[:, 1:, 1:]
-                    + 2
-                ) >> 2
-            out[sel] = mixed.astype(np.uint8)
-    return out
-
-
-def chroma_mv(mv_dx: np.ndarray, mv_dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chrominance displacement: half the luma MV, rounded toward zero."""
-    cdx = np.where(mv_dx >= 0, mv_dx // 2, -((-mv_dx) // 2))
-    cdy = np.where(mv_dy >= 0, mv_dy // 2, -((-mv_dy) // 2))
-    return cdx, cdy
 
 
 def predict_many(
@@ -462,9 +244,11 @@ def predict_many(
     ``(predictions, luma)``: the ``(n, 6, 8, 8)`` float64 block tensor in
     the encoder's block order (four luma quadrants, U, V) plus the raw
     ``(n, 16, 16)`` uint8 luma predictions (used for B-VOP SAD).  The
-    plane kernel's ``predict_mbs`` predicts every macroblock in one call;
-    without it, :func:`compensate_many` runs once per plane.  Either way
-    a source outside its plane raises ``ValueError``.
+    plane kernel's ``predict_mbs`` predicts every macroblock in one call,
+    each as the reference encoder's ``_predict_mb`` does
+    (:func:`repro.codec.motion.compensate` per block, chroma moving by
+    half the luma vector rounded toward zero).  A source outside its
+    plane raises ``ValueError``.
     """
     mb_ys = np.ascontiguousarray(mb_ys, dtype=np.int64)
     mb_xs = np.ascontiguousarray(mb_xs, dtype=np.int64)
@@ -475,37 +259,19 @@ def predict_many(
         raise ValueError("origins and displacements must be flat, of one length")
     if ref_u.shape != ref_v.shape:
         raise ValueError("the U and V planes of a store have one shape")
-    lib = _load_sad_kernel()
-    if lib is not None:
-        y, u, v = (np.ascontiguousarray(p, dtype=np.uint8) for p in (ref_y, ref_u, ref_v))
-        prediction = np.empty((n, 6, 8, 8), dtype=np.float64)
-        luma = np.empty((n, MB_SIZE, MB_SIZE), dtype=np.uint8)
-        escaped = lib.predict_mbs(
-            y.ctypes.data, y.strides[0], *y.shape,
-            u.ctypes.data, v.ctypes.data, u.strides[0], *u.shape,
-            border, n, mb_ys.ctypes.data, mb_xs.ctypes.data,
-            mv_dx.ctypes.data, mv_dy.ctypes.data,
-            prediction.ctypes.data, luma.ctypes.data,
-        )
-        if escaped >= 0:
-            raise ValueError(_ESCAPES)
-        return prediction, luma
-    luma = compensate_many(
-        ref_y, border + mb_ys, border + mb_xs, mv_dx, mv_dy, MB_SIZE
-    )
-    cdx, cdy = chroma_mv(mv_dx, mv_dy)
-    cys = border + mb_ys // 2
-    cxs = border + mb_xs // 2
-    u = compensate_many(ref_u, cys, cxs, cdx, cdy, 8)
-    v = compensate_many(ref_v, cys, cxs, cdx, cdy, 8)
+    lib = _plane_kernel()
+    y, u, v = (np.ascontiguousarray(p, dtype=np.uint8) for p in (ref_y, ref_u, ref_v))
     prediction = np.empty((n, 6, 8, 8), dtype=np.float64)
-    # Same block order as the encoder's LUMA_BLOCK_OFFSETS + U + V.
-    prediction[:, 0] = luma[:, 0:8, 0:8]
-    prediction[:, 1] = luma[:, 0:8, 8:16]
-    prediction[:, 2] = luma[:, 8:16, 0:8]
-    prediction[:, 3] = luma[:, 8:16, 8:16]
-    prediction[:, 4] = u
-    prediction[:, 5] = v
+    luma = np.empty((n, MB_SIZE, MB_SIZE), dtype=np.uint8)
+    escaped = lib.predict_mbs(
+        y.ctypes.data, y.strides[0], *y.shape,
+        u.ctypes.data, v.ctypes.data, u.strides[0], *u.shape,
+        border, n, mb_ys.ctypes.data, mb_xs.ctypes.data,
+        mv_dx.ctypes.data, mv_dy.ctypes.data,
+        prediction.ctypes.data, luma.ctypes.data,
+    )
+    if escaped >= 0:
+        raise ValueError(_ESCAPES)
     return prediction, luma
 
 
@@ -525,9 +291,10 @@ def bidirectional_predict(
     both int64 search SADs), and the modes are decided first, into
     ``modes``: the first minimum of ``sad_f``, ``sad_b`` and the luma SAD
     of the rounded average, in that order, as the reference encoder's
-    ``min()`` picks it.
+    ``min()`` picks it.  One call to the plane kernel's
+    ``bidirectional_mbs``.
     """
-    lib = _load_sad_kernel()
+    lib = _plane_kernel()
     n = modes.shape[0]
     if not (
         forward.shape == backward.shape == (n, 6, 8, 8)
@@ -538,6 +305,7 @@ def bidirectional_predict(
         and modes.flags.c_contiguous
     ):
         raise ValueError("expected (n, 6, 8, 8) float64 predictions and int64 modes")
+    decided = (None,) * 5
     if decide is not None:
         luma_f, luma_b, current = (
             np.ascontiguousarray(a, dtype=np.uint8).reshape(n, MB_SIZE, MB_SIZE)
@@ -546,34 +314,10 @@ def bidirectional_predict(
         sad_f, sad_b = (np.ascontiguousarray(a, dtype=np.int64) for a in decide[3:])
         if not sad_f.shape == sad_b.shape == (n,):
             raise ValueError("expected one forward and one backward SAD per macroblock")
-        if lib is not None:
-            lib.bidirectional_mbs(
-                n, forward.ctypes.data, backward.ctypes.data, luma_f.ctypes.data,
-                luma_b.ctypes.data, current.ctypes.data, sad_f.ctypes.data,
-                sad_b.ctypes.data, modes.ctypes.data,
-            )
-            return
-        average = (luma_f.astype(np.int32) + luma_b.astype(np.int32) + 1) >> 1
-        sad_bi = np.abs(current.astype(np.int32) - average).sum(axis=(1, 2), dtype=np.int64)
-        modes[:] = np.where(
-            (sad_f <= sad_b) & (sad_f <= sad_bi),
-            PredictionMode.FORWARD.value,
-            np.where(
-                sad_b <= sad_bi,
-                PredictionMode.BACKWARD.value,
-                PredictionMode.BIDIRECTIONAL.value,
-            ),
-        )
-    if lib is not None:
-        lib.bidirectional_mbs(
-            n, forward.ctypes.data, backward.ctypes.data, None, None, None, None,
-            None, modes.ctypes.data,
-        )
-        return
-    take = modes == PredictionMode.BACKWARD.value
-    forward[take] = backward[take]
-    mix = modes == PredictionMode.BIDIRECTIONAL.value
-    forward[mix] = (forward[mix] + backward[mix] + 1.0) // 2
+        decided = tuple(a.ctypes.data for a in (luma_f, luma_b, current, sad_f, sad_b))
+    lib.bidirectional_mbs(
+        n, forward.ctypes.data, backward.ctypes.data, *decided, modes.ctypes.data
+    )
 
 
 def _weights(qp: int, intra: bool, method: int):
@@ -591,11 +335,9 @@ def quantize_blocks(coefficients: np.ndarray, qp: int, intra: bool, method: int)
     """Quantize ``(..., 8, 8)`` DCT coefficient blocks to int32 levels.
 
     The plane kernel's ``quantize_blocks``; bit-exact with
-    :func:`repro.codec.quant.quantize_any`, its fallback.
+    :func:`repro.codec.quant.quantize_any`, its oracle.
     """
-    lib = _load_sad_kernel()
-    if lib is None:
-        return quantize_any(coefficients, qp, intra, method)
+    lib = _plane_kernel()
     weights = _weights(qp, intra, method)
     coefficients = np.ascontiguousarray(coefficients, dtype=np.float64)
     if coefficients.shape[-2:] != (8, 8):
@@ -612,11 +354,9 @@ def dequantize_blocks(levels: np.ndarray, qp: int, intra: bool, method: int) -> 
     """Reconstruct float64 coefficients from ``(..., 8, 8)`` int32 levels.
 
     The plane kernel's ``dequantize_blocks``; bit-exact with
-    :func:`repro.codec.quant.dequantize_any`, its fallback.
+    :func:`repro.codec.quant.dequantize_any`, its oracle.
     """
-    lib = _load_sad_kernel()
-    if lib is None:
-        return dequantize_any(levels, qp, intra, method)
+    lib = _plane_kernel()
     weights = _weights(qp, intra, method)
     levels = np.ascontiguousarray(levels, dtype=np.int32)
     if levels.shape[-2:] != (8, 8):
@@ -636,8 +376,7 @@ def store_macroblocks(store, rows: np.ndarray, cols: np.ndarray, values: np.ndar
     :func:`predict_many` order; macroblock i lands at macroblock row
     ``rows[i]``, column ``cols[i]`` of the store's interior as
     ``np.clip(np.rint(v), 0, 255)`` (ties to even).  The border samples
-    stay untouched.  One call to the plane kernel's ``store_macroblocks``;
-    a NumPy scatter without it.
+    stay untouched.  One call to the plane kernel's ``store_macroblocks``.
     """
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     cols = np.ascontiguousarray(cols, dtype=np.int64)
@@ -651,25 +390,11 @@ def store_macroblocks(store, rows: np.ndarray, cols: np.ndarray, values: np.ndar
         or cols.max() >= store.width // MB_SIZE
     ):
         raise ValueError("macroblock position outside the frame store")
-    lib = _load_sad_kernel()
-    if lib is not None:
-        lib.store_macroblocks(
-            store.y.ctypes.data, store.y.strides[0], store.u.ctypes.data,
-            store.v.ctypes.data, store.u.strides[0], BORDER, n, rows.ctypes.data,
-            cols.ctypes.data, values.ctypes.data,
-        )
-        return
-    pixels = np.clip(np.rint(values), 0, 255).astype(np.uint8)
-    mb_rows, mb_cols = store.height // MB_SIZE, store.width // MB_SIZE
-    # Each interior as a grid of macroblocks: splitting axes keeps a view,
-    # so the writes land in the planes.
-    luma = store.y[BORDER : BORDER + mb_rows * MB_SIZE, BORDER : BORDER + mb_cols * MB_SIZE]
-    luma.reshape(mb_rows, 2, 8, mb_cols, 2, 8)[rows, :, :, cols] = (
-        pixels[:, :4].reshape(n, 2, 2, 8, 8).transpose(0, 1, 3, 2, 4)
+    _plane_kernel().store_macroblocks(
+        store.y.ctypes.data, store.y.strides[0], store.u.ctypes.data,
+        store.v.ctypes.data, store.u.strides[0], BORDER, n, rows.ctypes.data,
+        cols.ctypes.data, values.ctypes.data,
     )
-    for plane, block in ((store.u, 4), (store.v, 5)):
-        chroma = plane[BORDER : BORDER + mb_rows * 8, BORDER : BORDER + mb_cols * 8]
-        chroma.reshape(mb_rows, 8, mb_cols, 8)[rows, :, cols] = pixels[:, block]
 
 
 def gather_plane_blocks(

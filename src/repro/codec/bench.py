@@ -18,6 +18,7 @@ import os
 import time
 from contextlib import contextmanager
 
+from repro.codec.batched import sad_kernel_available
 from repro.codec.decoder import VopDecoder
 from repro.codec.encoder import VopEncoder
 from repro.codec.types import CodecConfig
@@ -69,6 +70,12 @@ def run_codec_benchmark(
     m_distance: int = 2,
 ) -> dict:
     """Time encode/decode under both engines; return the result record."""
+    if not sad_kernel_available():
+        # Fail before timing the reference engine, not after it.
+        raise RuntimeError(
+            "the codec benchmark times the batched engine, which needs a C "
+            "compiler (cc/gcc/clang) to build its plane kernel"
+        )
     frames = _frames(n_frames, width, height)
     config = CodecConfig(width, height, qp=qp, gop_size=gop_size, m_distance=m_distance)
 

@@ -430,13 +430,15 @@ class VopDecoder:
         # rows of a VOP together; the reference engine and arbitrary-shape
         # VOPs rebuild each macroblock as soon as it is parsed, and
         # data-partitioned packets once their texture partition is read.
-        # Data-partitioned packets share the configured reconstruction
-        # IDCT so fixed-point streams stay drift-free with the encoder.
-        batched = codec_engine() == ENGINE_BATCHED and mask is None
+        # Every path shares the configured reconstruction IDCT, so
+        # fixed-point streams stay drift-free with either engine's encoder.
         self._recon_idct = (
-            inverse_dct_fixed if batched and codec_idct() == IDCT_FIXED else inverse_dct
+            inverse_dct_fixed if codec_idct() == IDCT_FIXED else inverse_dct
         )
-        batched_rows = batched and not self.data_partitioning
+        batched_rows = (
+            codec_engine() == ENGINE_BATCHED and mask is None
+            and not self.data_partitioning
+        )
         mb_rows = self.height // MB_SIZE
         mb_cols = self.width // MB_SIZE
         dc_preds = self._make_dc_predictors(vop_type)

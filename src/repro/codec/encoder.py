@@ -24,13 +24,9 @@ import numpy as np
 from repro import obs
 from repro.codec import vlc
 from repro.codec.batched import (
-    SEARCH_RECORD_FIELDS,
-    PlaneSearch,
     bidirectional_predict,
     dequantize_blocks,
-    full_search_plane,
     gather_plane_blocks,
-    half_pel_refine_plane,
     intra_decisions,
     predict_many,
     quantize_blocks,
@@ -465,11 +461,10 @@ class VopEncoder:
         # Arbitrary-shape VOLs keep the per-macroblock loop (transparent
         # MBs make the work data-dependent); everything else defaults to
         # the frame-level batched engine.
-        batched = codec_engine() == ENGINE_BATCHED and mask is None
         self._recon_idct = (
-            inverse_dct_fixed if batched and codec_idct() == IDCT_FIXED else inverse_dct
+            inverse_dct_fixed if codec_idct() == IDCT_FIXED else inverse_dct
         )
-        if batched:
+        if codec_engine() == ENGINE_BATCHED and mask is None:
             self._encode_macroblocks_batched(
                 writer, vop_type, qp, past, future, recon_store, vop_stats
             )
@@ -585,84 +580,20 @@ class VopEncoder:
         serves traced, untraced and clamped (``search_range > BORDER``)
         searches; ``search`` is its :class:`~repro.codec.batched.PlaneSearch`,
         whose per-MB work model (read counts, row coverage) the trace's
-        row emitter reads.  Without a compiler, a traced or clamped search
-        runs the per-macroblock reference search (:meth:`_search_per_mb`)
-        and any other runs the NumPy plane sweeps (``search`` is None).
+        row emitter reads.
         """
         config = self.config
-        mb_rows, mb_cols = config.mb_rows, config.mb_cols
-        search_range = config.search_range
         search = search_plane(
-            ref_store.y, self._cur.y, BORDER, mb_rows, mb_cols, search_range,
-            config.use_half_pel,
+            ref_store.y, self._cur.y, BORDER, config.mb_rows, config.mb_cols,
+            config.search_range, config.use_half_pel,
         )
-        if search is None and (self._rec is not None or search_range > BORDER):
-            search = self._search_per_mb(ref_store)
-        if search is not None:
-            return (
-                search.dx,
-                search.dy,
-                search.sad,
-                search.candidates + search.evaluated,
-                search,
-            )
-        full_dx, full_dy, full_sad = full_search_plane(
-            ref_store.y, self._cur.y, BORDER, mb_rows, mb_cols, search_range
-        )
-        if config.use_half_pel:
-            dx, dy, sad, evaluated = half_pel_refine_plane(
-                ref_store.y, self._cur.y, BORDER, full_dx, full_dy, full_sad
-            )
-        else:
-            dx = (2 * full_dx).astype(np.int32)
-            dy = (2 * full_dy).astype(np.int32)
-            sad = full_sad
-            evaluated = np.zeros((mb_rows, mb_cols), dtype=np.int32)
-        # Unclamped windows (search_range <= BORDER): every MB evaluates
-        # the full (2r+1)^2 grid, exactly like the reference search.
-        candidates = (2 * search_range + 1) ** 2 + evaluated.astype(np.int64)
         return (
-            dx.astype(np.int64),
-            dy.astype(np.int64),
-            sad.astype(np.int64),
-            candidates,
-            None,
+            search.dx,
+            search.dy,
+            search.sad,
+            search.candidates + search.evaluated,
+            search,
         )
-
-    def _search_per_mb(self, ref_store: FrameStore) -> PlaneSearch:
-        """The reference engine's per-macroblock search of every MB,
-        packed into the kernel's :class:`~repro.codec.batched.PlaneSearch`
-        (with the work model only when a recorder is attached)."""
-        config = self.config
-        mb_rows, mb_cols = config.mb_rows, config.mb_cols
-        search_range = config.search_range
-        fields = np.zeros((SEARCH_RECORD_FIELDS, mb_rows, mb_cols), dtype=np.int64)
-        coverage = np.zeros((mb_rows, mb_cols, 2 * search_range + MB_SIZE), dtype=np.int64)
-        for row in range(mb_rows):
-            for col in range(mb_cols):
-                y0 = BORDER + row * MB_SIZE
-                x0 = BORDER + col * MB_SIZE
-                cur_block = self._cur.y[y0 : y0 + MB_SIZE, x0 : x0 + MB_SIZE]
-                result = full_search(
-                    cur_block, ref_store.y, x0, y0, search_range,
-                    model_work=self._rec is not None,
-                )
-                final, evaluated = result, 0
-                if config.use_half_pel:
-                    final = half_pel_refine(
-                        cur_block, ref_store.y, x0, y0, result.mv, result.sad
-                    )
-                    evaluated = final.candidates_evaluated
-                cover_rows = 0
-                if result.row_coverage is not None:
-                    cover_rows = result.row_coverage.size
-                    coverage[row, col, :cover_rows] = result.row_coverage
-                fields[:, row, col] = (
-                    result.mv.dx // 2, result.mv.dy // 2, result.sad,
-                    result.candidates_evaluated, result.ref_reads, cover_rows,
-                    final.mv.dx, final.mv.dy, final.sad, evaluated,
-                )
-        return PlaneSearch(*fields, coverage=coverage)
 
     def _batched_residual_code(self, qp: int, residual: np.ndarray):
         """Transform/quantize (n, 6, 8, 8) residuals and prep their VLC.

@@ -16,8 +16,9 @@ concurrent workers never load a half-written library.
 
 When no C compiler is available, or the cache directory cannot be
 created or written, :func:`load_library` returns None and every caller
-falls back to its reference implementation; nothing in the repository
-*requires* a compiler.
+falls back to its reference implementation (the simulator's and the
+codec's reference engines, the batched decoder's Python row parse);
+nothing in the repository *requires* a compiler.
 """
 
 from __future__ import annotations

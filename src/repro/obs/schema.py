@@ -12,6 +12,8 @@ Each validator returns a list of human-readable problems (empty = valid).
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.obs.export import SCHEMA_METRICS, SCHEMA_TRACE, SCHEMA_VERSION
@@ -37,26 +39,50 @@ SCHEMA_FAULTSTUDY = "repro-faultstudy"
 #: ABR-study summary: the quality-vs-provisioned-bandwidth table.
 SCHEMA_ABRSTUDY = "repro-abrstudy"
 
-#: Every summary row must carry these numeric recovery statistics.
-_FAULTSTUDY_ROW_NUMBERS = (
-    "availability", "mttr_vms", "retry_amplification", "mean_psnr_db",
-    "p99_latency_vms",
-)
-#: ...and these outcome buckets (the extended conservation law's terms).
-_FAULTSTUDY_OUTCOMES = (
-    "offered", "served", "served_retry", "degraded", "shed", "quarantined",
-)
+@dataclass(frozen=True)
+class _GridStudy:
+    """What one grid-study summary must hold, row by row."""
 
-#: Per-row numeric statistics of the ABR study summary.
-_ABRSTUDY_ROW_NUMBERS = (
-    "availability", "rebuffer_ratio", "switch_rate", "mean_rung",
-    "mean_psnr_db",
-)
-#: The ABR-extended conservation law's seven outcome buckets.
-_ABRSTUDY_OUTCOMES = (
-    "offered", "served", "served_retry", "degraded", "switched_down",
-    "rebuffered", "shed", "quarantined",
-)
+    name: str
+    #: Grid axes, each a non-empty list.
+    grid: tuple[str, ...]
+    #: Row fields that are strings.
+    strings: tuple[str, ...]
+    #: One numeric row field, its test and the complaint when it fails.
+    bounded: tuple[str, Callable[[float], bool], str]
+    #: Non-negative numeric row statistics, and those that are ratios.
+    numbers: tuple[str, ...]
+    ratios: tuple[str, ...]
+    #: Outcome buckets: every term but ``offered`` sums to ``offered``.
+    outcomes: tuple[str, ...]
+
+
+_GRID_STUDIES = {
+    SCHEMA_FAULTSTUDY: _GridStudy(
+        name="faultstudy",
+        grid=("ns", "seeds", "intensities", "policies"),
+        strings=("policy",),
+        bounded=("intensity", lambda v: 0 <= v <= 1, "must be a number in [0, 1]"),
+        numbers=("availability", "mttr_vms", "retry_amplification",
+                 "mean_psnr_db", "p99_latency_vms"),
+        ratios=("availability",),
+        # The extended conservation law's terms.
+        outcomes=("offered", "served", "served_retry", "degraded", "shed",
+                  "quarantined"),
+    ),
+    SCHEMA_ABRSTUDY: _GridStudy(
+        name="abrstudy",
+        grid=("ns", "seeds", "bandwidths_kbps", "profiles", "policies"),
+        strings=("profile", "policy"),
+        bounded=("bandwidth_kbps", lambda v: v > 0, "must be positive"),
+        numbers=("availability", "rebuffer_ratio", "switch_rate", "mean_rung",
+                 "mean_psnr_db"),
+        ratios=("availability", "rebuffer_ratio"),
+        # The ABR-extended law adds switched_down and rebuffered.
+        outcomes=("offered", "served", "served_retry", "degraded",
+                  "switched_down", "rebuffered", "shed", "quarantined"),
+    ),
+}
 
 _SPAN_REQUIRED = {"name": str, "id": str, "t0_ns": int, "dur_ns": int}
 
@@ -225,117 +251,48 @@ def validate_service_wall(obj: dict) -> list[str]:
     return problems
 
 
-def validate_faultstudy(obj: dict) -> list[str]:
-    """Validate a ``repro faultstudy`` summary artifact.
+def _validate_grid_study(obj: dict, schema: str) -> list[str]:
+    """Validate a grid-study summary against its :class:`_GridStudy`.
 
-    Beyond shape checks this enforces the *extended conservation law* on
-    every row -- served + served_retry + degraded + shed + quarantined
-    must equal offered -- and that availability stays in [0, 1].  A
-    summary that leaks sessions fails the CI gate, not just the tests.
+    Beyond shape checks this enforces the study's conservation law on
+    every row (the outcome buckets other than ``offered`` sum to
+    ``offered``) and keeps every ratio in [0, 1].  A summary that leaks
+    sessions fails the CI gate, not just the tests.
     """
+    study = _GRID_STUDIES[schema]
+    name = study.name
     problems = []
-    if obj.get("schema") != SCHEMA_FAULTSTUDY:
-        problems.append(
-            f"faultstudy: schema is {obj.get('schema')!r}, "
-            f"want {SCHEMA_FAULTSTUDY!r}"
-        )
+    if obj.get("schema") != schema:
+        problems.append(f"{name}: schema is {obj.get('schema')!r}, want {schema!r}")
     if obj.get("version") != 1:
-        problems.append(f"faultstudy: version is {obj.get('version')!r}, want 1")
+        problems.append(f"{name}: version is {obj.get('version')!r}, want 1")
     grid = obj.get("grid")
     if not isinstance(grid, dict):
-        problems.append("faultstudy: grid missing or not an object")
+        problems.append(f"{name}: grid missing or not an object")
     else:
-        for key in ("ns", "seeds", "intensities", "policies"):
+        for key in study.grid:
             if not isinstance(grid.get(key), list) or not grid[key]:
-                problems.append(f"faultstudy: grid.{key} missing or empty")
+                problems.append(f"{name}: grid.{key} missing or empty")
     rows = obj.get("rows")
     if not isinstance(rows, list) or not rows:
-        return problems + ["faultstudy: rows missing or empty"]
+        return problems + [f"{name}: rows missing or empty"]
+    bounded, within, complaint = study.bounded
     for index, row in enumerate(rows):
         where = f"rows[{index}]"
         if not isinstance(row, dict):
             problems.append(f"{where}: not an object")
             continue
-        if not isinstance(row.get("policy"), str):
-            problems.append(f"{where}: policy missing or not a string")
-        intensity = row.get("intensity")
-        if not isinstance(intensity, (int, float)) or not 0 <= intensity <= 1:
-            problems.append(f"{where}: intensity must be a number in [0, 1]")
-        for key in _FAULTSTUDY_ROW_NUMBERS:
-            value = row.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                problems.append(f"{where}: {key!r} must be a non-negative number")
-        availability = row.get("availability")
-        if isinstance(availability, (int, float)) and availability > 1:
-            problems.append(f"{where}: availability {availability} exceeds 1")
-        outcomes = row.get("outcomes")
-        if not isinstance(outcomes, dict):
-            problems.append(f"{where}: outcomes missing or not an object")
-            continue
-        bad_bucket = False
-        for key in _FAULTSTUDY_OUTCOMES:
-            value = outcomes.get(key)
-            if not isinstance(value, int) or value < 0:
-                problems.append(
-                    f"{where}: outcomes.{key} must be a non-negative integer"
-                )
-                bad_bucket = True
-        if not bad_bucket:
-            delivered = sum(
-                outcomes[key] for key in _FAULTSTUDY_OUTCOMES if key != "offered"
-            )
-            if delivered != outcomes["offered"]:
-                problems.append(
-                    f"{where}: conservation violated "
-                    f"({delivered} accounted vs {outcomes['offered']} offered)"
-                )
-    if not isinstance(obj.get("missing_cells"), list):
-        problems.append("faultstudy: missing_cells missing or not a list")
-    return problems
-
-
-def validate_abrstudy(obj: dict) -> list[str]:
-    """Validate a ``repro abrstudy`` summary artifact.
-
-    Enforces the ABR-extended conservation law on every row -- the seven
-    outcome buckets (served + served_retry + degraded + switched_down +
-    rebuffered + shed + quarantined) must sum to offered -- and that
-    availability and rebuffer_ratio stay in [0, 1].
-    """
-    problems = []
-    if obj.get("schema") != SCHEMA_ABRSTUDY:
-        problems.append(
-            f"abrstudy: schema is {obj.get('schema')!r}, "
-            f"want {SCHEMA_ABRSTUDY!r}"
-        )
-    if obj.get("version") != 1:
-        problems.append(f"abrstudy: version is {obj.get('version')!r}, want 1")
-    grid = obj.get("grid")
-    if not isinstance(grid, dict):
-        problems.append("abrstudy: grid missing or not an object")
-    else:
-        for key in ("ns", "seeds", "bandwidths_kbps", "profiles", "policies"):
-            if not isinstance(grid.get(key), list) or not grid[key]:
-                problems.append(f"abrstudy: grid.{key} missing or empty")
-    rows = obj.get("rows")
-    if not isinstance(rows, list) or not rows:
-        return problems + ["abrstudy: rows missing or empty"]
-    for index, row in enumerate(rows):
-        where = f"rows[{index}]"
-        if not isinstance(row, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        for key in ("profile", "policy"):
+        for key in study.strings:
             if not isinstance(row.get(key), str):
                 problems.append(f"{where}: {key} missing or not a string")
-        bandwidth = row.get("bandwidth_kbps")
-        if not isinstance(bandwidth, (int, float)) or bandwidth <= 0:
-            problems.append(f"{where}: bandwidth_kbps must be positive")
-        for key in _ABRSTUDY_ROW_NUMBERS:
+        value = row.get(bounded)
+        if not isinstance(value, (int, float)) or not within(value):
+            problems.append(f"{where}: {bounded} {complaint}")
+        for key in study.numbers:
             value = row.get(key)
             if not isinstance(value, (int, float)) or value < 0:
                 problems.append(f"{where}: {key!r} must be a non-negative number")
-        for key in ("availability", "rebuffer_ratio"):
+        for key in study.ratios:
             value = row.get(key)
             if isinstance(value, (int, float)) and value > 1:
                 problems.append(f"{where}: {key} {value} exceeds 1")
@@ -344,25 +301,35 @@ def validate_abrstudy(obj: dict) -> list[str]:
             problems.append(f"{where}: outcomes missing or not an object")
             continue
         bad_bucket = False
-        for key in _ABRSTUDY_OUTCOMES:
+        for key in study.outcomes:
             value = outcomes.get(key)
             if not isinstance(value, int) or value < 0:
-                problems.append(
-                    f"{where}: outcomes.{key} must be a non-negative integer"
-                )
+                problems.append(f"{where}: outcomes.{key} must be a non-negative integer")
                 bad_bucket = True
         if not bad_bucket:
-            accounted = sum(
-                outcomes[key] for key in _ABRSTUDY_OUTCOMES if key != "offered"
-            )
+            accounted = sum(outcomes[key] for key in study.outcomes if key != "offered")
             if accounted != outcomes["offered"]:
                 problems.append(
                     f"{where}: conservation violated "
                     f"({accounted} accounted vs {outcomes['offered']} offered)"
                 )
     if not isinstance(obj.get("missing_cells"), list):
-        problems.append("abrstudy: missing_cells missing or not a list")
+        problems.append(f"{name}: missing_cells missing or not a list")
     return problems
+
+
+def validate_faultstudy(obj: dict) -> list[str]:
+    """Validate a ``repro faultstudy`` summary artifact: served +
+    served_retry + degraded + shed + quarantined equal offered on every
+    row, and availability stays in [0, 1]."""
+    return _validate_grid_study(obj, SCHEMA_FAULTSTUDY)
+
+
+def validate_abrstudy(obj: dict) -> list[str]:
+    """Validate a ``repro abrstudy`` summary artifact: the seven outcome
+    buckets sum to offered on every row, and availability and
+    rebuffer_ratio stay in [0, 1]."""
+    return _validate_grid_study(obj, SCHEMA_ABRSTUDY)
 
 
 def validate_file(path: str | Path) -> list[str]:
@@ -384,10 +351,8 @@ def validate_file(path: str | Path) -> list[str]:
         return validate_part(obj)
     if obj.get("schema") == SCHEMA_SERVICE_WALL:
         return validate_service_wall(obj)
-    if obj.get("schema") == SCHEMA_FAULTSTUDY:
-        return validate_faultstudy(obj)
-    if obj.get("schema") == SCHEMA_ABRSTUDY:
-        return validate_abrstudy(obj)
+    if obj.get("schema") in _GRID_STUDIES:
+        return _validate_grid_study(obj, obj["schema"])
     if obj.get("schema") == SCHEMA_TRACE:
         # A single-line (meta-only) JSONL trace parses as one document.
         return validate_trace_jsonl(text)

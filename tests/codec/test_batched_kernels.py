@@ -1,17 +1,20 @@
 """Frame-level kernels vs their per-macroblock reference counterparts.
 
-Every kernel in :mod:`repro.codec.batched` has a scalar oracle in
-:mod:`repro.codec.motion` or :mod:`repro.codec.quant`; these tests pin
-the equivalences macroblock by macroblock -- including the NumPy
-fallbacks, which must agree with both the C kernel and the scalar code.
-The texture path's routines are also held to their fallbacks bit for
-bit, and a whole encode and decode with the plane kernel to one without.
+Every routine in :mod:`repro.codec.batched` has a scalar oracle in
+:mod:`repro.codec.motion`, :mod:`repro.codec.quant` or the reference
+encoder and decoder; these tests pin the equivalences macroblock by
+macroblock.  The plane kernel is the only body of the texture path, so
+its tests need the kernel (the motion search is held to its oracle in
+``test_search_kernel.py``), and a whole encode and decode with the
+kernel is held to one on a host without it, where the codec resolves to
+its reference engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from contextlib import contextmanager, nullcontext
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,28 +23,28 @@ from hypothesis import strategies as st
 
 from repro.codec import CodecConfig, VopDecoder, VopEncoder, batched
 from repro.codec.batched import (
-    _full_search_plane_numpy,
     bidirectional_predict,
-    chroma_mv,
-    compensate_many,
     dequantize_blocks,
-    full_search_plane,
     gather_plane_blocks,
-    half_pel_refine_plane,
     intra_decisions,
     predict_many,
     quantize_blocks,
     sad_kernel_available,
     store_macroblocks,
 )
-from repro.codec.engine import IDCT_ENV, IDCT_FIXED
+from repro.codec.engine import (
+    ENGINE_BATCHED,
+    ENGINE_ENV,
+    ENGINE_REFERENCE,
+    IDCT_ENV,
+    IDCT_FIXED,
+    codec_engine,
+)
 from repro.codec.framestore import BORDER, FrameStore
 from repro.codec.motion import (
     MotionVector,
     PredictionMode,
     compensate,
-    full_search,
-    half_pel_refine,
     intra_inter_decision,
 )
 from repro.codec.quant import (
@@ -55,18 +58,7 @@ from repro.codec.quant import (
 from repro.video import SceneSpec, SyntheticScene
 from repro.video.yuv import MB_SIZE
 
-needs_kernel = pytest.mark.skipif(
-    not sad_kernel_available(), reason="no C compiler to build the plane kernel"
-)
-
-
-@contextmanager
-def no_plane_kernel(monkeypatch):
-    """Every routine of the plane kernel on its NumPy fallback."""
-    with monkeypatch.context() as patch:
-        patch.setattr(batched, "_load_sad_kernel", lambda: None)
-        yield
-
+from .conftest import needs_kernel
 
 MB_ROWS, MB_COLS = 3, 4
 HEIGHT, WIDTH = MB_ROWS * MB_SIZE, MB_COLS * MB_SIZE
@@ -93,117 +85,6 @@ def planes():
     return reference, current
 
 
-class TestFullSearchPlane:
-    @pytest.mark.parametrize("search_range", [1, 3, 8, 16])
-    def test_matches_per_mb_search(self, planes, search_range):
-        reference, current = planes
-        dx, dy, sad = full_search_plane(
-            reference, current, BORDER, MB_ROWS, MB_COLS, search_range
-        )
-        for mr in range(MB_ROWS):
-            for mc in range(MB_COLS):
-                y0, x0 = BORDER + mr * MB_SIZE, BORDER + mc * MB_SIZE
-                block = current[y0 : y0 + MB_SIZE, x0 : x0 + MB_SIZE]
-                result = full_search(block, reference, x0, y0, search_range)
-                assert result.mv.dx == 2 * dx[mr, mc], (mr, mc)
-                assert result.mv.dy == 2 * dy[mr, mc], (mr, mc)
-                assert result.sad == sad[mr, mc], (mr, mc)
-
-    def test_numpy_fallback_matches_kernel(self, planes):
-        reference, current = planes
-        kernel = full_search_plane(reference, current, BORDER, MB_ROWS, MB_COLS, 8)
-        fallback = _full_search_plane_numpy(
-            reference, current, BORDER, MB_ROWS, MB_COLS, 8
-        )
-        for a, b in zip(kernel, fallback):
-            assert np.array_equal(a, b)
-
-    def test_rejects_range_beyond_border(self, planes):
-        reference, current = planes
-        with pytest.raises(ValueError):
-            full_search_plane(reference, current, BORDER, MB_ROWS, MB_COLS, BORDER + 1)
-
-    def test_model_work_counts_unchanged_by_batching(self, planes):
-        """The paper's work model reads come from the scalar search; the
-        batched planner must leave them reproducible for the same MVs."""
-        reference, current = planes
-        dx, dy, sad = full_search_plane(
-            reference, current, BORDER, MB_ROWS, MB_COLS, 8
-        )
-        for mr in range(MB_ROWS):
-            for mc in range(MB_COLS):
-                y0, x0 = BORDER + mr * MB_SIZE, BORDER + mc * MB_SIZE
-                block = current[y0 : y0 + MB_SIZE, x0 : x0 + MB_SIZE]
-                plain = full_search(block, reference, x0, y0, 8)
-                modeled = full_search(block, reference, x0, y0, 8, model_work=True)
-                assert modeled.mv == plain.mv
-                assert modeled.sad == plain.sad
-                assert modeled.ref_reads > 0
-                assert modeled.row_coverage.sum() * MB_SIZE == modeled.ref_reads
-
-
-class TestHalfPelRefinePlane:
-    def test_matches_per_mb_refine(self, planes):
-        reference, current = planes
-        fdx, fdy, fsad = full_search_plane(
-            reference, current, BORDER, MB_ROWS, MB_COLS, 8
-        )
-        dx, dy, sad, evaluated = half_pel_refine_plane(
-            reference, current, BORDER, fdx, fdy, fsad
-        )
-        for mr in range(MB_ROWS):
-            for mc in range(MB_COLS):
-                y0, x0 = BORDER + mr * MB_SIZE, BORDER + mc * MB_SIZE
-                block = current[y0 : y0 + MB_SIZE, x0 : x0 + MB_SIZE]
-                full_mv = MotionVector(2 * fdx[mr, mc], 2 * fdy[mr, mc])
-                result = half_pel_refine(
-                    block, reference, x0, y0, full_mv, int(fsad[mr, mc])
-                )
-                assert result.mv.dx == dx[mr, mc], (mr, mc)
-                assert result.mv.dy == dy[mr, mc], (mr, mc)
-                assert result.sad == sad[mr, mc], (mr, mc)
-                assert result.candidates_evaluated == evaluated[mr, mc], (mr, mc)
-
-
-class TestCompensateMany:
-    def test_matches_scalar_compensate(self, planes):
-        reference, _ = planes
-        rng = np.random.RandomState(3)
-        n = 24
-        ys = BORDER + rng.randint(0, MB_ROWS, n) * MB_SIZE
-        xs = BORDER + rng.randint(0, MB_COLS, n) * MB_SIZE
-        mv_dx = rng.randint(-15, 16, n)
-        mv_dy = rng.randint(-15, 16, n)
-        batch = compensate_many(reference, ys, xs, mv_dx, mv_dy, MB_SIZE)
-        for i in range(n):
-            single = compensate(
-                reference,
-                int(ys[i]),
-                int(xs[i]),
-                MotionVector(int(mv_dx[i]), int(mv_dy[i])),
-                MB_SIZE,
-            )
-            assert np.array_equal(batch[i], single), i
-
-    def test_raises_when_any_block_escapes(self, planes):
-        reference, _ = planes
-        ys = np.array([BORDER])
-        xs = np.array([BORDER])
-        with pytest.raises(ValueError):
-            compensate_many(
-                reference, ys, xs, np.array([-2 * BORDER - 2]), np.array([0]), MB_SIZE
-            )
-
-    def test_chroma_mv_matches_method(self):
-        rng = np.random.RandomState(4)
-        dx = rng.randint(-32, 33, 50)
-        dy = rng.randint(-32, 33, 50)
-        cdx, cdy = chroma_mv(dx, dy)
-        for i in range(50):
-            cmv = MotionVector(int(dx[i]), int(dy[i])).chroma()
-            assert (cdx[i], cdy[i]) == (cmv.dx, cmv.dy), i
-
-
 def chroma_planes(seed: int, height: int = HEIGHT, width: int = WIDTH):
     """A U and a V plane for luma planes of the padded test geometry."""
     return tuple(
@@ -212,19 +93,31 @@ def chroma_planes(seed: int, height: int = HEIGHT, width: int = WIDTH):
     )
 
 
+def reference_predictions(store, mb_ys, mb_xs, mv_dx, mv_dy) -> np.ndarray:
+    """The reference engine's six-block prediction of each macroblock:
+    ``VopEncoder._predict_mb``, :func:`repro.codec.motion.compensate` per
+    block."""
+    encoder = VopEncoder(CodecConfig(WIDTH, HEIGHT))
+    return np.array([
+        encoder._predict_mb(store, int(y), int(x), MotionVector(int(dx), int(dy)))
+        for y, x, dx, dy in zip(mb_ys, mb_xs, mv_dx, mv_dy)
+    ])
+
+
+def luma_of(prediction: np.ndarray) -> np.ndarray:
+    """The ``(n, 16, 16)`` luma of ``(n, 6, 8, 8)`` predictions."""
+    quadrants = prediction[:, :4].reshape(-1, 2, 2, 8, 8)
+    return quadrants.transpose(0, 1, 3, 2, 4).reshape(-1, MB_SIZE, MB_SIZE)
+
+
 @needs_kernel
 class TestCompensateKernel:
     """The plane kernel's six-block prediction (``predict_mbs``, one call
-    per reference store) against :func:`predict_many`'s NumPy body, which
-    runs :func:`compensate_many` per plane."""
-
-    @staticmethod
-    def numpy_predict(monkeypatch, *args):
-        with no_plane_kernel(monkeypatch):
-            return predict_many(*args)
+    per reference store) against the reference engine's NumPy prediction,
+    :func:`reference_predictions`."""
 
     @pytest.mark.parametrize("size", [MB_SIZE, 8])
-    def test_every_phase_and_edge_matches_numpy(self, planes, size, monkeypatch):
+    def test_every_phase_and_edge_matches_numpy(self, planes, size):
         reference, _ = planes
         plane_u, plane_v = chroma_planes(6)
         mb_ys, mb_xs, mv_dx, mv_dy = [], [], [], []
@@ -253,13 +146,15 @@ class TestCompensateKernel:
                         mb_xs.append(mb_x)
                         mv_dy.append(dy)
                         mv_dx.append(dx)
-        args = (reference, plane_u, plane_v, mb_ys, mb_xs, mv_dx, mv_dy, BORDER)
-        prediction, luma = predict_many(*args)
+        prediction, luma = predict_many(
+            reference, plane_u, plane_v, mb_ys, mb_xs, mv_dx, mv_dy, BORDER
+        )
         assert prediction.shape == (len(mb_ys), 6, 8, 8)
         assert luma.shape == (len(mb_ys), MB_SIZE, MB_SIZE)
-        fallback = self.numpy_predict(monkeypatch, *args)
-        np.testing.assert_array_equal(prediction, fallback[0])
-        np.testing.assert_array_equal(luma, fallback[1])
+        store = SimpleNamespace(y=reference, u=plane_u, v=plane_v)
+        expected = reference_predictions(store, mb_ys, mb_xs, mv_dx, mv_dy)
+        np.testing.assert_array_equal(prediction, expected)
+        np.testing.assert_array_equal(luma, luma_of(expected))
 
     def test_empty_batch(self, planes):
         reference, _ = planes
@@ -270,33 +165,35 @@ class TestCompensateKernel:
         assert prediction.shape == (0, 6, 8, 8)
         assert luma.shape == (0, MB_SIZE, MB_SIZE)
 
+    @staticmethod
+    def assert_both_raise(reference, plane_u, plane_v, mb_ys, mb_xs, mv_dx, mv_dy):
+        with pytest.raises(ValueError):
+            predict_many(reference, plane_u, plane_v, mb_ys, mb_xs, mv_dx, mv_dy, BORDER)
+        store = SimpleNamespace(y=reference, u=plane_u, v=plane_v)
+        with pytest.raises(ValueError):
+            reference_predictions(store, mb_ys, mb_xs, mv_dx, mv_dy)
+
     @pytest.mark.parametrize("mv", [(-2 * BORDER - 1, 0), (0, -2 * BORDER - 1),
                                     (2 * BORDER + 1, 0), (0, 2 * BORDER + 1)])
-    def test_escaping_source_raises_as_numpy_does(self, planes, mv, monkeypatch):
+    def test_escaping_source_raises_as_numpy_does(self, planes, mv):
         reference, _ = planes
-        args = (reference, *chroma_planes(6), [0, HEIGHT - MB_SIZE],
-                [0, WIDTH - MB_SIZE], [mv[0]] * 2, [mv[1]] * 2, BORDER)
-        with pytest.raises(ValueError) as kernel:
-            predict_many(*args)
-        with pytest.raises(ValueError) as fallback:
-            self.numpy_predict(monkeypatch, *args)
-        assert str(kernel.value) == str(fallback.value)
+        self.assert_both_raise(reference, *chroma_planes(6), [0, HEIGHT - MB_SIZE],
+                               [0, WIDTH - MB_SIZE], [mv[0]] * 2, [mv[1]] * 2)
 
-    def test_escaping_chroma_source_raises_as_numpy_does(self, planes, monkeypatch):
+    def test_escaping_chroma_source_raises_as_numpy_does(self, planes):
         """Chroma planes without a full border: a vector whose luma source
-        stays inside can still take chroma outside, and both paths
-        reject it alike."""
+        stays inside can still take chroma outside, and both sides reject
+        it."""
         reference, _ = planes
         plane_u, plane_v = (p[: HEIGHT // 2 + BORDER, : WIDTH // 2 + BORDER]
                             for p in chroma_planes(6))
-        args = (reference, plane_u, plane_v, [HEIGHT - MB_SIZE], [0], [0], [8], BORDER)
-        with pytest.raises(ValueError) as kernel:
-            predict_many(*args)
-        with pytest.raises(ValueError) as fallback:
-            self.numpy_predict(monkeypatch, *args)
-        assert str(kernel.value) == str(fallback.value)
+        # The luma source of the bottom-left macroblock moved 4 rows down
+        # stays inside its plane.
+        compensate(reference, BORDER + HEIGHT - MB_SIZE, BORDER, MotionVector(0, 8), MB_SIZE)
+        self.assert_both_raise(reference, plane_u, plane_v, [HEIGHT - MB_SIZE], [0], [0], [8])
 
 
+@needs_kernel
 class TestPredictMany:
     def test_six_block_layout_matches_scalar(self, planes):
         reference, _ = planes
@@ -357,6 +254,7 @@ EVERY_COL = np.tile(np.arange(MB_COLS), MB_ROWS)
 
 
 class TestGatherScatter:
+    @needs_kernel
     def test_roundtrip_is_identity(self):
         """Gathering every macroblock and storing it back is the identity."""
         store = random_store(8)
@@ -417,11 +315,20 @@ def reference_mode(sad_f: int, sad_b: int, sad_bi: int) -> int:
     )[1].value
 
 
+def reference_mix(forward, backward, modes) -> np.ndarray:
+    """The reference engine's prediction of each B-VOP macroblock."""
+    expected = forward.copy()
+    for i, mode in enumerate(modes):
+        if mode == PredictionMode.BACKWARD.value:
+            expected[i] = backward[i]
+        elif mode == PredictionMode.BIDIRECTIONAL.value:
+            expected[i] = (forward[i] + backward[i] + 1.0) // 2
+    return expected
+
+
+@needs_kernel
 class TestBidirectionalPredict:
-    @pytest.mark.parametrize("kernel", [True, False])
-    def test_encoder_decision_matches_reference_min(self, kernel, monkeypatch):
-        if kernel and not sad_kernel_available():
-            pytest.skip("no C compiler to build the plane kernel")
+    def test_encoder_decision_matches_reference_min(self):
         luma_f, luma_b, current, forward, backward, (sad_f, sad_b) = bidirectional_case(1)
         average = (luma_f.astype(np.int64) + luma_b + 1) >> 1
         sad_bi = np.abs(current - average).sum(axis=(1, 2))
@@ -431,30 +338,23 @@ class TestBidirectionalPredict:
         sad_f[8:12], sad_b[8:12] = sad_bi[8:12] - 1, sad_bi[8:12] - 1
         sad_f[12:16], sad_b[12:16] = sad_bi[12:16] + 1, sad_bi[12:16] + 1
         expected_modes = [reference_mode(*sads) for sads in zip(sad_f, sad_b, sad_bi)]
-        expected = forward.copy()
-        for i, mode in enumerate(expected_modes):
-            if mode == PredictionMode.BACKWARD.value:
-                expected[i] = backward[i]
-            elif mode == PredictionMode.BIDIRECTIONAL.value:
-                expected[i] = (forward[i] + backward[i] + 1.0) // 2
+        expected = reference_mix(forward, backward, expected_modes)
         modes = np.empty(len(sad_f), dtype=np.int64)
-        with nullcontext() if kernel else no_plane_kernel(monkeypatch):
-            bidirectional_predict(
-                forward, backward, modes, decide=(luma_f, luma_b, current, sad_f, sad_b)
-            )
+        bidirectional_predict(
+            forward, backward, modes, decide=(luma_f, luma_b, current, sad_f, sad_b)
+        )
         assert modes.tolist() == expected_modes
         assert set(expected_modes[:16]) == {0, 1, 2}
         np.testing.assert_array_equal(forward, expected)
 
-    @needs_kernel
-    def test_decoder_modes_match_numpy(self, monkeypatch):
+    def test_decoder_modes_match_numpy(self):
+        """The modes a decoder's vectors give mix as the reference
+        decoder's NumPy does, macroblock by macroblock."""
         _, _, _, forward, backward, _ = bidirectional_case(2)
         modes = np.arange(len(forward), dtype=np.int64) % 3
-        kernel = forward.copy()
-        bidirectional_predict(kernel, backward, modes)
-        with no_plane_kernel(monkeypatch):
-            bidirectional_predict(forward, backward, modes)
-        np.testing.assert_array_equal(kernel, forward)
+        expected = reference_mix(forward, backward, modes)
+        bidirectional_predict(forward, backward, modes)
+        np.testing.assert_array_equal(forward, expected)
 
 
 def coefficient_blocks(qp: int):
@@ -552,18 +452,15 @@ class TestStoreMacroblocks:
         values.reshape(-1)[: ties.size * 7 : 7] = ties
         return values
 
-    @pytest.mark.parametrize("kernel", [True, False])
-    def test_rounds_half_to_even_and_clips(self, kernel, monkeypatch):
-        if kernel and not sad_kernel_available():
-            pytest.skip("no C compiler to build the plane kernel")
+    @needs_kernel
+    def test_rounds_half_to_even_and_clips(self):
         store = random_store(11)
         before = {plane: getattr(store, plane).copy() for plane in "yuv"}
         # The last row and column, and one inside; the rest keep their samples.
         rows = np.array([MB_ROWS - 1, 0, 1, MB_ROWS - 1])
         cols = np.array([MB_COLS - 1, MB_COLS - 1, 1, 0])
         values = self.values(12, rows.size)
-        with nullcontext() if kernel else no_plane_kernel(monkeypatch):
-            store_macroblocks(store, rows, cols, values)
+        store_macroblocks(store, rows, cols, values)
         expected = random_store(11)
         pixels = np.clip(np.rint(values), 0, 255).astype(np.uint8)
         for k, (row, col) in enumerate(zip(rows, cols)):
@@ -589,7 +486,7 @@ class TestStoreMacroblocks:
             store_macroblocks(random_store(1), [row], [col], np.zeros((1, 6, 8, 8)))
 
 
-# -- end to end: the plane kernel against its fallbacks ------------------------
+# -- end to end: a host with the plane kernel against one without -------------
 
 E2E_CONFIGS = {
     "ipb_h263_resync": dict(qp=6, gop_size=6, m_distance=3, resync_markers=True),
@@ -608,23 +505,30 @@ def codec_run(config: CodecConfig, frames):
 
 @needs_kernel
 class TestPlaneKernelEndToEnd:
-    """An encode and decode with the plane kernel equal one with every
-    routine of it on the NumPy fallback."""
+    """With no engine set, an encode and decode with the plane kernel (the
+    batched engine) equal one where the kernel cannot load, which falls
+    back to the reference engine."""
 
     @pytest.mark.parametrize("idct", ["float", IDCT_FIXED])
     @pytest.mark.parametrize("name", sorted(E2E_CONFIGS))
     def test_kernel_and_fallback_codecs_agree(self, name, idct, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
         monkeypatch.setenv(IDCT_ENV, idct)
         width, height = 64, 48
         scene = SyntheticScene(SceneSpec.default(width, height))
         frames = [scene.frame(i) for i in range(7)]
         config = CodecConfig(width, height, **E2E_CONFIGS[name])
+        assert codec_engine() == ENGINE_BATCHED
         kernel = codec_run(config, frames)
         with monkeypatch.context() as patch:
             patch.setattr(batched, "_sad_lib", None)
             patch.setattr(batched, "_sad_tried", True)
             assert not sad_kernel_available()
-            fallback = codec_run(config, frames)
+            with pytest.warns(RuntimeWarning, match="reference codec engine"):
+                assert codec_engine() == ENGINE_REFERENCE
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                fallback = codec_run(config, frames)
         (enc, dec), (enc_np, dec_np) = kernel, fallback
         assert enc.data == enc_np.data
         for left, right in ((enc.reconstructions, enc_np.reconstructions),

@@ -16,11 +16,12 @@ resync marker carrying ``qp = 0``, and rows concealed after they had
 decoded.  Both codec engines are pinned, and since their macroblock
 parse has one parser of record (the batched engine's C row parser hands
 every row it cannot finish back to it) they must also agree with each
-other.
+other.  Where the plane kernel cannot be built, only the reference
+engine replays.
 
 Re-record only when a change is *meant* to alter decode outcomes::
 
-    PYTHONPATH=src python tests/codec/test_corrupt_outcomes.py
+    PYTHONPATH=src python -m tests.codec.test_corrupt_outcomes
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from pathlib import Path
 import pytest
 
 from repro.codec import CodecConfig, VopDecoder, VopEncoder
-from repro.codec.bench import engine_env
 from repro.codec.engine import ENGINE_BATCHED, ENGINE_REFERENCE
 from repro.codec.errors import BitstreamError
 from repro.conformance.fuzzer import MUTATIONS, BitstreamFuzzer, FuzzCase
 from repro.video import SceneSpec, SyntheticScene
+
+from .conftest import pinned_engine
 
 TABLE = Path(__file__).with_name("corrupt_outcomes.json")
 
@@ -79,15 +81,15 @@ ENGINES = (ENGINE_BATCHED, ENGINE_REFERENCE)
 
 
 def _pristine_streams() -> dict[str, bytes]:
+    """The three streams, as either engine writes them."""
     scene = SyntheticScene(SceneSpec.default(WIDTH, HEIGHT))
     frames = [scene.frame(index) for index in range(N_FRAMES)]
-    with engine_env(ENGINE_BATCHED):
-        return {
-            name: VopEncoder(CodecConfig(WIDTH, HEIGHT, **options))
-            .encode_sequence(frames)
-            .data
-            for name, options in CONFIGS.items()
-        }
+    return {
+        name: VopEncoder(CodecConfig(WIDTH, HEIGHT, **options))
+        .encode_sequence(frames)
+        .data
+        for name, options in CONFIGS.items()
+    }
 
 
 def _sha256(blob: bytes) -> str:
@@ -132,7 +134,7 @@ def record() -> dict:
         corrupt = case.apply(streams[name])
         outcomes = {}
         for engine in ENGINES:
-            with engine_env(engine):
+            with pinned_engine(engine):
                 outcomes[engine] = {
                     "strict": decode_outcome(corrupt, tolerant=False),
                     "tolerant": decode_outcome(corrupt, tolerant=True),
@@ -183,7 +185,7 @@ def test_corpus_reaches_errors_and_concealment(table):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_replay_matches_pinned_outcomes(table, streams, engine):
     mismatches = []
-    with engine_env(engine):
+    with pinned_engine(engine):
         for row in table["cases"]:
             case = FuzzCase(row["seed"], row["mutation"])
             corrupt = case.apply(streams[row["config"]])
@@ -207,7 +209,7 @@ def test_engines_agree(table, streams):
         corrupt = case.apply(streams[row["config"]])
         results = []
         for engine in ENGINES:
-            with engine_env(engine):
+            with pinned_engine(engine):
                 results.append((
                     decode_outcome(corrupt, tolerant=False),
                     *decode_result(corrupt, tolerant=True),

@@ -6,40 +6,26 @@ identical between them: the bitstream bytes, the reconstructed frames,
 the per-VOP statistics, the decoder's output (including tolerant decode
 of corrupted streams, where parse errors must fire at the same bit
 positions), and the memory-trace counters the study pipeline feeds the
-cache simulator.
+cache simulator.  That holds under either IDCT setting, so a host
+without a compiler, which runs the reference engine, writes what a host
+with one writes; there the tests that pin ``batched`` skip.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro.codec import CodecConfig, VopDecoder, VopEncoder
-from repro.codec.engine import ENGINE_BATCHED, ENGINE_ENV, ENGINE_REFERENCE, IDCT_ENV
+from repro.codec.engine import ENGINE_BATCHED, ENGINE_REFERENCE, IDCT_FIXED, IDCT_FLOAT
 from repro.video import SceneSpec, SyntheticScene
 from repro.video.yuv import YuvFrame
 
+from .conftest import pinned_engine as engine
+
 WIDTH, HEIGHT = 96, 64
-
-
-@contextmanager
-def engine(value, idct=None):
-    saved = {k: os.environ.get(k) for k in (ENGINE_ENV, IDCT_ENV)}
-    os.environ[ENGINE_ENV] = value
-    if idct is not None:
-        os.environ[IDCT_ENV] = idct
-    try:
-        yield
-    finally:
-        for key, previous in saved.items():
-            if previous is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = previous
 
 
 def scene_frames(n, width=WIDTH, height=HEIGHT):
@@ -98,9 +84,9 @@ class TestEncoderDifferential:
         assert_stats_equal(reference.stats.vops, batched.stats.vops)
 
     def test_search_range_beyond_border_falls_back(self):
-        """search_range > plane border exceeds the batched kernel's domain;
-        the engine must transparently use the per-MB search and still
-        produce the identical stream."""
+        """search_range > plane border clamps the search kernel's windows
+        at the plane edge, as the per-MB search clamps them, and the
+        stream stays identical."""
         config = CodecConfig(WIDTH, HEIGHT, qp=8, gop_size=4, search_range=24)
         frames = scene_frames(4)
         reference, batched = encode_both(config, frames)
@@ -313,16 +299,47 @@ class TestFixedPointIdct:
             decoded = VopDecoder().decode_sequence(encoded.data)
         assert_frames_equal(decoded.frames, encoded.reconstructions)
 
-    def test_reference_engine_ignores_fixed_idct(self):
-        """The oracle always uses the float IDCT, so a reference-engine
-        run is reproducible regardless of the IDCT knob."""
-        config = CodecConfig(WIDTH, HEIGHT, qp=8, gop_size=2, m_distance=1)
-        frames = scene_frames(3)
-        with engine(ENGINE_REFERENCE, idct="fixed"):
-            fixed = VopEncoder(config).encode_sequence(frames)
-        with engine(ENGINE_REFERENCE, idct="float"):
-            floating = VopEncoder(config).encode_sequence(frames)
-        assert fixed.data == floating.data
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_engines_agree_under_fixed_idct(self, name):
+        """The IDCT setting applies to either engine, so a host that runs
+        the reference engine writes what the batched engine writes under
+        ``fixed`` too: bitstream, reconstructions, decoded frames and
+        statistics."""
+        config = CodecConfig(WIDTH, HEIGHT, **CONFIGS[name])
+        frames = scene_frames(6 if config.m_distance == 1 else 7)
+        runs = {}
+        for value in (ENGINE_REFERENCE, ENGINE_BATCHED):
+            with engine(value, idct=IDCT_FIXED):
+                encoded = VopEncoder(config).encode_sequence(frames)
+                runs[value] = encoded, VopDecoder().decode_sequence(encoded.data)
+        (ref_enc, ref_dec), (bat_enc, bat_dec) = runs[ENGINE_REFERENCE], runs[ENGINE_BATCHED]
+        assert ref_enc.data == bat_enc.data
+        assert_frames_equal(ref_enc.reconstructions, bat_enc.reconstructions)
+        assert_frames_equal(ref_dec.frames, bat_dec.frames)
+        assert_stats_equal(ref_enc.stats.vops, bat_enc.stats.vops)
+        assert_stats_equal(ref_dec.vop_stats, bat_dec.vop_stats)
+
+    @pytest.mark.parametrize("value", [ENGINE_REFERENCE, ENGINE_BATCHED])
+    def test_shaped_vops_reconstruct_with_the_fixed_idct(self, value):
+        """Arbitrary-shape VOPs (the per-macroblock loop in either
+        engine) reconstruct with the fixed transform as well, and the
+        decoder follows the encoder without drift."""
+        config = CodecConfig(WIDTH, HEIGHT, qp=8, gop_size=4, m_distance=2,
+                             arbitrary_shape=True)
+        scene = SyntheticScene(SceneSpec.default(WIDTH, HEIGHT, n_objects=1))
+        frames, masks = zip(*(scene.frame_with_masks(i) for i in range(5)))
+        masks = [object_masks[0] for object_masks in masks]
+        encoded = {}
+        for idct in (IDCT_FLOAT, IDCT_FIXED):
+            with engine(value, idct=idct):
+                encoded[idct] = VopEncoder(config).encode_sequence(list(frames), masks)
+                decoded = VopDecoder().decode_sequence(encoded[idct].data)
+            assert_frames_equal(decoded.frames, encoded[idct].reconstructions)
+        assert any(
+            not np.array_equal(fixed.y, floating.y)
+            for fixed, floating in zip(encoded[IDCT_FIXED].reconstructions,
+                                       encoded[IDCT_FLOAT].reconstructions)
+        )
 
     def test_engine_knob_rejects_unknown_values(self):
         from repro.codec.engine import codec_engine, codec_idct
@@ -330,6 +347,6 @@ class TestFixedPointIdct:
         with engine("nonsense"):
             with pytest.raises(ValueError):
                 codec_engine()
-        with engine(ENGINE_BATCHED, idct="nonsense"):
+        with engine(ENGINE_REFERENCE, idct="nonsense"):
             with pytest.raises(ValueError):
                 codec_idct()

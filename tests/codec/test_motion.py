@@ -67,6 +67,21 @@ class TestFullSearch:
         result = full_search(current, reference, 40, 40, search_range=16)
         assert result.candidates_evaluated == 33 * 33
 
+    def test_model_work_keeps_the_winner(self):
+        """The work model (read counts for the trace) leaves the vector
+        and SAD of the plain search untouched."""
+        reference = textured_plane(80, 96, seed=1)
+        current = np.roll(reference, (2, -3), axis=(0, 1))
+        for y0 in (16, 32, 48):
+            for x0 in (16, 40, 64):
+                block = current[y0 : y0 + 16, x0 : x0 + 16]
+                plain = full_search(block, reference, x0, y0, 8)
+                modeled = full_search(block, reference, x0, y0, 8, model_work=True)
+                assert modeled.mv == plain.mv
+                assert modeled.sad == plain.sad
+                assert modeled.ref_reads > 0
+                assert modeled.row_coverage.sum() * 16 == modeled.ref_reads
+
     @given(
         dx=st.integers(min_value=-6, max_value=6),
         dy=st.integers(min_value=-6, max_value=6),

@@ -131,10 +131,9 @@ def assert_rows_agree(decoder):
             np.testing.assert_array_equal(grid, python[4], err_msg=str(where))
 
 
-def without_kernels(monkeypatch):
-    """Run the batched engine on its Python parse and NumPy compensation."""
+def without_parse_kernel(monkeypatch):
+    """Run the batched engine on its Python row parse."""
     monkeypatch.setattr(batched, "_load_parse_kernel", lambda: None)
-    monkeypatch.setattr(batched, "_load_sad_kernel", lambda: None)
 
 
 def outcome(data, tolerant, recorder=None):
@@ -227,7 +226,7 @@ def test_kernel_decode_equals_python_decode(monkeypatch):
     match the parser of record's per-macroblock counts."""
     data = encode(64, 48, 7, qp=5, gop_size=6, m_distance=3, resync_markers=True).data
     with_kernel = outcome(data, tolerant=False)
-    without_kernels(monkeypatch)
+    without_parse_kernel(monkeypatch)
     assert outcome(data, tolerant=False) == with_kernel
 
 
@@ -249,7 +248,7 @@ def test_fuzzed_streams_decode_as_without_the_kernel(config, monkeypatch):
     with pytest.MonkeyPatch.context() as patch:
         counter = BailCounter(patch)
         with_kernel = strict_and_tolerant(cases)
-    without_kernels(monkeypatch)
+    without_parse_kernel(monkeypatch)
     python = strict_and_tolerant(cases)
     for (case, tolerant, got), (_, _, want) in zip(with_kernel, python):
         assert got == want, (str(case), "tolerant" if tolerant else "strict")

@@ -12,12 +12,19 @@ import json
 import pytest
 
 from repro import obs
+from repro.codec.batched import sad_kernel_available
 from repro.obs.cli import obs_main, profile_main
 from repro.obs.export import read_spans_jsonl
 from repro.obs.report import aggregate_stages, roots_total_ns
 from repro.obs.schema import validate_file
 
 COVERAGE_TOLERANCE = 0.10
+
+#: The span names of the batched engine, which a run without the plane
+#: kernel does not use.
+batched_spans = pytest.mark.skipif(
+    not sad_kernel_available(), reason="no C compiler to build the plane kernel"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -71,6 +78,7 @@ class TestProfileEncode:
         assert "git_sha" in meta and "hostname" in meta
         assert "engine_knobs" in meta
 
+    @batched_spans
     def test_expected_encode_stages_present(self, encode_bundle):
         _, records = read_spans_jsonl(encode_bundle / "trace.jsonl")
         names = {r.name for r in records}
@@ -83,6 +91,7 @@ class TestProfileEncode:
 
 
 class TestProfileDecode:
+    @batched_spans
     def test_decode_profile_names_the_vlc_parse_span(self, tmp_path, capsys):
         """Satellite 1's hinge: the parse share is a *named* span so the
         future C bit-reader has a baseline to beat."""

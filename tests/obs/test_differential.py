@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.codec.batched import sad_kernel_available
 from repro.codec.bench import engine_env
 from repro.codec.decoder import VopDecoder
 from repro.codec.encoder import VopEncoder
@@ -37,6 +38,8 @@ def encode(frames):
 class TestBitstreamInvariance:
     @pytest.mark.parametrize("engine", [ENGINE_BATCHED, ENGINE_REFERENCE])
     def test_encode_bitstream_identical_with_obs_on(self, frames, engine):
+        if engine == ENGINE_BATCHED and not sad_kernel_available():
+            pytest.skip("no C compiler to build the plane kernel")
         with engine_env(engine):
             baseline = encode(frames)
             with obs.recording() as session:

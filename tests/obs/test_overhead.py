@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.codec.batched import sad_kernel_available
 from repro.codec.bench import engine_env
 from repro.codec.encoder import VopEncoder
 from repro.codec.engine import ENGINE_BATCHED
@@ -24,6 +25,11 @@ from repro.video import SceneSpec, SyntheticScene
 
 WIDTH, HEIGHT, N_FRAMES = 176, 144, 8
 OVERHEAD_BUDGET = 0.02
+
+#: The batched engine exists only with the plane kernel.
+needs_kernel = pytest.mark.skipif(
+    not sad_kernel_available(), reason="no C compiler to build the plane kernel"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -39,6 +45,7 @@ def _encode(frames):
     return VopEncoder(config).encode_sequence(frames)
 
 
+@needs_kernel
 def test_disabled_span_overhead_under_two_percent():
     scene = SyntheticScene(SceneSpec.default(WIDTH, HEIGHT))
     frames = [scene.frame(i) for i in range(N_FRAMES)]
@@ -80,6 +87,7 @@ def test_disabled_counter_path_is_cheap():
     assert per_call < 2e-6  # generous: a no-op call must stay sub-2us
 
 
+@needs_kernel
 def test_span_count_is_bounded_per_encode():
     """The hot layers emit stage-level spans, not per-MB spans: a QCIF
     encode must stay in the hundreds, or the 'cheap when on' promise and

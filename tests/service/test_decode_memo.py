@@ -21,6 +21,7 @@ import pytest
 
 from repro.cli import main as repro_main
 from repro.codec import VopDecoder
+from repro.codec.batched import sad_kernel_available
 from repro.codec.engine import ENGINE_ENV, IDCT_ENV
 from repro.codec.renditions import DEFAULT_LADDER
 from repro.ioutil import sha256_hex
@@ -90,6 +91,9 @@ class TestCodecKnobKeys:
         assert comparable(decode_received(stream, digest)) == \
             comparable(warm_decode)
 
+    @pytest.mark.skipif(
+        not sad_kernel_available(), reason="no C compiler to build the plane kernel"
+    )
     def test_engine_switch_misses(self, monkeypatch):
         """The engines conceal corrupt streams differently, so a memo
         filled by one engine must not answer for the other."""

@@ -3,7 +3,9 @@ raising.
 
 Every traced study cell, every encode and every batched decode loads a
 kernel, so a kernel cache directory that cannot be created must leave
-the callers on their NumPy and Python fallbacks rather than crash them.
+the codec and the simulator on their reference engines rather than
+crash them, and an explicit request for the codec's batched engine must
+fail before it writes anything.
 That fallback must not hide a kernel that no longer compiles, though:
 with a compiler on the machine, every kernel source has to build, export
 the entry points its loader binds, and compile warning-free.
@@ -18,9 +20,12 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.codec import batched
+from repro.codec import CodecConfig, VopEncoder, batched
+from repro.codec.bench import run_codec_benchmark
+from repro.codec.engine import ENGINE_BATCHED, ENGINE_ENV, ENGINE_REFERENCE, codec_engine
 from repro.native import build
 from repro.native.build import CACHE_ENV, find_compiler, load_library
+from repro.video import SceneSpec, SyntheticScene
 
 #: The entry points each kernel's loader binds, by source file.
 ENTRY_POINTS = {
@@ -68,6 +73,15 @@ def test_uncreatable_cache_means_no_kernel(uncreatable, tmp_path, monkeypatch):
     monkeypatch.setattr(batched, "_parse_fn", None)
     monkeypatch.setattr(batched, "_parse_tried", False)
     assert batched.parse_kernel_available() is False
+    monkeypatch.delenv(ENGINE_ENV, raising=False)
+    with pytest.warns(RuntimeWarning, match="reference codec engine"):
+        assert codec_engine() == ENGINE_REFERENCE
+    monkeypatch.setenv(ENGINE_ENV, ENGINE_BATCHED)
+    frames = list(SyntheticScene(SceneSpec.default(32, 32)).frames(2))
+    with pytest.raises(RuntimeError, match=f"{ENGINE_ENV}={ENGINE_REFERENCE}"):
+        VopEncoder(CodecConfig(32, 32)).encode_sequence(frames)
+    with pytest.raises(RuntimeError, match="plane kernel"):
+        run_codec_benchmark(32, 32, n_frames=1, repeats=1)
 
 
 def test_entry_point_table_names_every_kernel_source():

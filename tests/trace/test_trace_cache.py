@@ -164,11 +164,11 @@ def test_cache_shared_across_idct_settings_serves_each_its_own_trace(
     tmp_path, monkeypatch
 ):
     """A fixed-IDCT run after a float run on one cache must miss and
-    record its own trace: the batched engine's fixed IDCT changes the
+    record its own trace: the fixed IDCT (either engine's) changes the
     reconstructions, and with them the traced counters."""
     import dataclasses
 
-    from repro.codec.engine import ENGINE_BATCHED, ENGINE_ENV, IDCT_ENV
+    from repro.codec.engine import IDCT_ENV
     from repro.core.study import characterize_encode
 
     def counters(result):
@@ -176,7 +176,6 @@ def test_cache_shared_across_idct_settings_serves_each_its_own_trace(
                 for label, total in result.raw_counters.items()}
 
     workload = make_workload(width=176, height=144, n_frames=6)
-    monkeypatch.setenv(ENGINE_ENV, ENGINE_BATCHED)
     monkeypatch.setenv(IDCT_ENV, "fixed")
     monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
     fixed = counters(characterize_encode(workload))
