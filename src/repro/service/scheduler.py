@@ -166,6 +166,8 @@ def schedule_fleet(
     last_refill = 0.0
     in_flight: deque[float] = deque()  # finish times of scheduled sessions
     last_arrival = -1.0
+    service_vms = {mode: config.service_vms(mode)
+                   for mode in (MODE_FULL, MODE_DEGRADED)}
 
     def shed(spec: SessionSpec, reason: str) -> None:
         shed_reasons[reason] += 1
@@ -202,9 +204,9 @@ def schedule_fleet(
 
         start = max(now, server_free_at)
         mode = MODE_DEGRADED if depth >= config.degrade_depth else MODE_FULL
-        if start + config.service_vms(mode) > now + config.deadline_vms:
+        if start + service_vms[mode] > now + config.deadline_vms:
             mode = MODE_DEGRADED  # deadline-driven degrade as a last resort
-        if start + config.service_vms(mode) > now + config.deadline_vms:
+        if start + service_vms[mode] > now + config.deadline_vms:
             shed(spec, "deadline")
             continue
 
@@ -214,7 +216,7 @@ def schedule_fleet(
         tokens -= 1.0
         tokens_consumed += 1
 
-        service = config.service_vms(mode)
+        service = service_vms[mode]
         finish = start + service
         outcome = OUTCOME_SERVED if mode == MODE_FULL else OUTCOME_DEGRADED
         counts[outcome] += 1

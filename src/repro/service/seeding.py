@@ -12,17 +12,26 @@ Instead, each session's entropy comes from
 every child a provably distinct entropy pool, child ``i`` depends only on
 ``(fleet_seed, i)`` (growing the fleet never re-seeds existing sessions),
 and every derived quantity -- arrival jitter, channel seed, scene
-variant, loss rate -- is drawn from the session's own private generator.
-``tests/service/test_seeding.py`` pins the derived values and checks that
-adjacent fleet seeds and adjacent sessions produce uncorrelated channel
-loss patterns.
+variant, loss rate -- is drawn from the session's own private generator,
+``default_rng(child)``.
+
+The children differ only in their spawn key ``(i,)``, so their PCG64
+seed words are derived for the whole fleet in one array pass that
+transcribes SeedSequence's hash-mix (:func:`_spawned_states`); NumPy
+then seeds each session's generator from its row and makes the draws.
+``tests/service/test_seeding.py`` holds that pass to the per-child
+``SeedSequence.spawn`` loop under Hypothesis, pins the first sessions'
+values at two fleet seeds as literals, and checks that adjacent fleet
+seeds and adjacent sessions produce uncorrelated channel loss patterns.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "SessionSeed",
@@ -63,6 +72,99 @@ class SessionSeed:
     u_loss: float
 
 
+#: ``numpy.random.SeedSequence``'s hash constants (``bit_generator.pyx``).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4  # SeedSequence's default pool, in 32-bit words
+_UINT64 = np.dtype(np.uint64)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value`` as SeedSequence reads an int: little-endian 32-bit words."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _mix(x, y):
+    result = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _spawned_states(fleet_seed: int, n: int) -> np.ndarray:
+    """``SeedSequence(fleet_seed).spawn(n)[i].generate_state(4, np.uint64)``
+    for every ``i < n``, as the rows of one ``(n, 4)`` array.
+
+    A transcription of SeedSequence's hash-mix.  Child ``i``'s entropy is
+    the fleet seed's words, zero-padded to the pool size, followed by the
+    spawn key word ``i``.  Every word before the last is the same for all
+    children, so the pool is mixed once on Python ints; the spawn key's
+    four mixing rounds and the state generation run on arrays with one
+    element per child.  The arrays are ``uint64`` so that every product of
+    two 32-bit words fits before it is masked.  The hash constant
+    advances once per ``hashmix`` whatever the value, so it stays a
+    Python int throughout.
+    """
+    entropy = _uint32_words(fleet_seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    spawn_key = np.arange(n, dtype=np.uint64)
+    children = [_mix(word, hashmix(spawn_key)) for word in pool]
+
+    # generate_state(4, np.uint64): eight 32-bit words, paired low-first.
+    hash_const = _INIT_B
+    state = np.empty((n, 2 * _POOL_SIZE), dtype=np.uint64)
+    for i in range(2 * _POOL_SIZE):
+        value = children[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state[:, i] = value ^ (value >> 16)
+    return state[:, 0::2] | (state[:, 1::2] << 32)
+
+
+class _SpawnedState(ISeedSequence):
+    """One child's precomputed ``generate_state(4, np.uint64)`` words,
+    which is all :class:`numpy.random.PCG64` asks of a seed sequence."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: np.ndarray) -> None:
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _POOL_SIZE or np.dtype(dtype) != _UINT64:
+            raise ValueError("only PCG64's four uint64 state words are held")
+        return self._state
+
+
 def spawn_session_seeds(fleet_seed: int, n: int) -> list[SessionSeed]:
     """Derive ``n`` independent per-session seeds from one fleet seed.
 
@@ -70,13 +172,21 @@ def spawn_session_seeds(fleet_seed: int, n: int) -> list[SessionSeed]:
     larger fleet from the same seed reproduces every earlier session's
     entropy exactly (prefix stability), which is what makes scale sweeps
     comparable across N.
+
+    Session ``i`` draws from ``default_rng(SeedSequence(fleet_seed)
+    .spawn(n)[i])``.  The children's PCG64 seed words come from one
+    array pass (:func:`_spawned_states`) instead of one ``SeedSequence``
+    per child; NumPy still seeds every generator and makes every draw.
+    Spawn keys of ``2**32`` and beyond take two words, so ``n`` is held
+    below that.
     """
     if n < 0:
         raise ValueError("session count must be >= 0")
-    root = np.random.SeedSequence(fleet_seed)
+    if n > 2**32:
+        raise ValueError("session count must be <= 2**32")
     seeds: list[SessionSeed] = []
-    for index, child in enumerate(root.spawn(n)):
-        rng = np.random.default_rng(child)
+    for index, state in enumerate(_spawned_states(fleet_seed, n)):
+        rng = np.random.Generator(np.random.PCG64(_SpawnedState(state)))
         seeds.append(
             SessionSeed(
                 index=index,

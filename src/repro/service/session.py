@@ -9,12 +9,22 @@ delivered bitstream and the reconstructed frames.
 
 Execution is a pure function of ``(spec, mode, config)``: the per-fleet
 digest tables the study publishes are byte-identical however the
-sessions were interleaved across workers.  Encodes are cached per
-``(scene variant, mode)`` -- the fleet draws scenes from a small variant
-pool precisely so N sessions cost N transports, not N encodes -- and
-decodes are memoized per received stream: FEC repairs most channel
-loss, so most sessions receive bytes some earlier session already
-decoded.
+sessions were interleaved across workers.  A session pays only for what
+depends on the session:
+
+- per encode, keyed on ``(scene variant, mode, geometry, codec knobs)``:
+  the encode itself (the fleet draws scenes from a small variant pool
+  precisely so N sessions cost N transports, not N encodes), its
+  packets (``transport.pipeline``'s send-half memo), and -- for the
+  deliveries that arrive equal to it -- the stream digest, the decode
+  outcome, the frames digest and the mean PSNR, computed by the first
+  such delivery;
+- per session: the channel, and for a damaged delivery the sha256 of
+  the received bytes, the decode (memoized per received stream, since
+  FEC repairs most loss and damaged streams repeat too) and the PSNR.
+
+Most deliveries arrive intact, so most sessions touch neither the
+decoder nor the hash.
 """
 
 from __future__ import annotations
@@ -149,6 +159,10 @@ def _codec_config(mode: str, config: ServiceConfig):
 _SOURCE_CACHE: dict[tuple, list] = {}
 _ENCODE_CACHE: dict[tuple, bytes] = {}
 _LADDER_CACHE: dict[tuple, tuple] = {}
+#: Encode key -> what a delivery equal to that encode reports:
+#: ``(stream_digest, decode_outcome, frames_digest, mean_psnr)``.  Two
+#: threads may both fill an entry; they store equal values.
+_INTACT_CACHE: dict[tuple, tuple] = {}
 
 #: Received streams the decode memo holds; the least recently used one
 #: is evicted first.
@@ -158,11 +172,16 @@ _DECODE_MEMO_LOCK = threading.Lock()  # the asyncio backend decodes in threads
 
 
 def reset_encode_cache() -> None:
-    """Test hook: drop the per-process source, encode, rendition-ladder
-    and decode caches, so the next session pays every cold cost."""
+    """Test hook: drop the per-process source, encode, rendition-ladder,
+    intact-delivery, send-half and decode caches, so the next session
+    pays every cold cost."""
+    from repro.transport.pipeline import _send_half
+
     _SOURCE_CACHE.clear()
     _ENCODE_CACHE.clear()
     _LADDER_CACHE.clear()
+    _INTACT_CACHE.clear()
+    _send_half.cache_clear()
     with _DECODE_MEMO_LOCK:
         _DECODE_MEMO.clear()
 
@@ -177,7 +196,9 @@ def _source_frames(variant: int, config: ServiceConfig):
     return _SOURCE_CACHE[key]
 
 
-def _encoded_stream(variant: int, mode: str, config: ServiceConfig) -> bytes:
+def _encoding(variant: int, mode: str, config: ServiceConfig) -> tuple:
+    """``(key, data)``: one variant's encoded stream at ``mode`` and the
+    cache key it is held under."""
     from repro.codec import VopEncoder
     from repro.codec.engine import codec_knobs
 
@@ -190,7 +211,7 @@ def _encoded_stream(variant: int, mode: str, config: ServiceConfig) -> bytes:
                 frames
             )
             _ENCODE_CACHE[key] = encoded.data
-    return _ENCODE_CACHE[key]
+    return key, _ENCODE_CACHE[key]
 
 
 def _ladder_encodings(
@@ -272,6 +293,31 @@ def decode_received(stream: bytes, stream_digest: str) -> tuple:
     return entry
 
 
+def _received_values(
+    stream: bytes, variant: int, session_id: int, config: ServiceConfig
+) -> tuple:
+    """``(stream_digest, decode_outcome, frames_digest, mean_psnr)`` of
+    one received stream: digest, memoized decode, PSNR against the
+    variant's source frames."""
+    from repro.ioutil import sha256_hex
+    from repro.video.quality import psnr
+
+    stream_digest = sha256_hex(stream)
+    with obs.span("service.session.decode", session=session_id):
+        decode_outcome, frames, frames_digest = decode_received(
+            stream, stream_digest
+        )
+    mean_psnr = 0.0
+    if frames is not None:
+        sources = _source_frames(variant, config)
+        values = [
+            min(psnr(src.y, out.y), _PSNR_CAP)
+            for src, out in zip(sources, frames)
+        ]
+        mean_psnr = sum(values) / len(values) if values else 0.0
+    return stream_digest, decode_outcome, frames_digest, mean_psnr
+
+
 def execute_session(
     spec: SessionSpec,
     mode: str,
@@ -285,15 +331,19 @@ def execute_session(
     delivery that happened on a *retry* attempt (fresh channel state) or
     through a surviving outage window (``service/recovery.py`` decides
     both); the defaults reproduce the plain, fault-free delivery.
+
+    A delivery equal to its encode reports the values the first such
+    delivery computed (``_INTACT_CACHE``); it still counts one decode
+    memo hit and opens the ``service.session.decode`` span, so the
+    decode counters account for every session as before.
     """
-    from repro.ioutil import sha256_hex
     from repro.transport.pipeline import TransportConfig, transmit_stream
-    from repro.video.quality import psnr
 
     if mode not in (MODE_FULL, MODE_DEGRADED):
         raise ValueError(f"unknown session mode {mode!r}")
+    variant = spec.scene_variant
     with obs.span("service.session.execute", session=spec.session_id, mode=mode):
-        encoded = _encoded_stream(spec.scene_variant, mode, config)
+        key, encoded = _encoding(variant, mode, config)
         with obs.span("service.session.transport", session=spec.session_id):
             transport = transmit_stream(
                 encoded,
@@ -307,19 +357,21 @@ def execute_session(
                     blackout=blackout,
                 ),
             )
-        stream_digest = sha256_hex(transport.stream)
-        with obs.span("service.session.decode", session=spec.session_id):
-            decode_outcome, frames, frames_digest = decode_received(
-                transport.stream, stream_digest
+        if transport.stream != encoded:
+            values = _received_values(
+                transport.stream, variant, spec.session_id, config
             )
-        mean_psnr = 0.0
-        if frames is not None:
-            sources = _source_frames(spec.scene_variant, config)
-            values = [
-                min(psnr(src.y, out.y), _PSNR_CAP)
-                for src, out in zip(sources, frames)
-            ]
-            mean_psnr = sum(values) / len(values) if values else 0.0
+        else:
+            values = _INTACT_CACHE.get(key)
+            if values is None:
+                values = _INTACT_CACHE[key] = _received_values(
+                    encoded, variant, spec.session_id, config
+                )
+            else:
+                with obs.span("service.session.decode",
+                              session=spec.session_id):
+                    obs.counter_add("service.decode_memo.hits")
+    stream_digest, decode_outcome, frames_digest, mean_psnr = values
     obs.counter_add("service.sessions_executed")
     obs.counter_add("service.packets_dropped", transport.n_dropped)
     return SessionResult(

@@ -25,13 +25,13 @@ _HEADER = struct.Struct(">BBI")
 def _group_parity(group: list[Packet], group_index: int) -> Packet:
     flags = 0
     lengths = 0
-    body = bytearray(max(len(p.payload) for p in group))
+    acc = 0  # payloads as little-endian integers: short ones zero-pad
     for packet in group:
         flags ^= 1 if packet.starts_section else 0
         lengths ^= len(packet.payload)
-        for i, byte in enumerate(packet.payload):
-            body[i] ^= byte
-    payload = _HEADER.pack(flags, len(group), lengths) + bytes(body)
+        acc ^= int.from_bytes(packet.payload, "little")
+    body = acc.to_bytes(max(len(p.payload) for p in group), "little")
+    payload = _HEADER.pack(flags, len(group), lengths) + body
     return Packet(
         seq=group_index,
         payload=payload,
@@ -91,25 +91,34 @@ def recover_with_parity(
     for group_index, check in sorted(parity.items()):
         survivors = by_group.get(group_index, [])
         group_start = group_index * group_size
-        _, group_count, _ = _HEADER.unpack_from(check.payload)
-        expected = range(group_start, group_start + group_count)
-        missing = [seq for seq in expected if all(p.seq != seq for p in survivors)]
+        flags, group_count, lengths = _HEADER.unpack_from(check.payload)
+        present = {p.seq for p in survivors}
+        missing = [
+            seq for seq in range(group_start, group_start + group_count)
+            if seq not in present
+        ]
         if len(missing) != 1:
             continue
-        flags, _, lengths = _HEADER.unpack_from(check.payload)
-        body = bytearray(check.payload[_HEADER.size :])
+        body_len = len(check.payload) - _HEADER.size
+        acc = int.from_bytes(check.payload[_HEADER.size :], "little")
         for packet in survivors:
+            if len(packet.payload) > body_len:
+                # No parity body this group computed is shorter than one
+                # of its members: the pairing is wrong.
+                raise IndexError(
+                    f"survivor {packet.seq} is longer than its group's "
+                    "parity body"
+                )
             flags ^= 1 if packet.starts_section else 0
             lengths ^= len(packet.payload)
-            for i, byte in enumerate(packet.payload):
-                body[i] ^= byte
-        if lengths > len(body):
+            acc ^= int.from_bytes(packet.payload, "little")
+        if lengths > body_len:
             # Parity itself was damaged/mispaired; don't fabricate bytes.
             continue
         recovered.append(
             Packet(
                 seq=missing[0],
-                payload=bytes(body[:lengths]),
+                payload=acc.to_bytes(body_len, "little")[:lengths],
                 starts_section=bool(flags & 1),
                 is_parity=False,
                 group=group_index,

@@ -29,6 +29,7 @@ from repro.service import session
 from repro.service.abrstudy import AbrCell, run_abr_cell
 from repro.service.config import DEFAULT_CONFIG, MODE_FULL, ServiceConfig
 from repro.service.session import (
+    SessionSpec,
     build_fleet,
     decode_received,
     execute_session,
@@ -51,7 +52,7 @@ def fresh_caches(monkeypatch):
 
 
 def received(variant: int, config: ServiceConfig = DEFAULT_CONFIG):
-    data = session._encoded_stream(variant, MODE_FULL, config)
+    _, data = session._encoding(variant, MODE_FULL, config)
     return data, sha256_hex(data)
 
 
@@ -64,6 +65,20 @@ def comparable(entry: tuple) -> tuple:
 def cache_sizes() -> tuple[int, int, int]:
     return (len(session._ENCODE_CACHE), len(session._LADDER_CACHE),
             len(session._DECODE_MEMO))
+
+
+class ForgetfulCache(dict):
+    """An intact-delivery cache that keeps nothing, so every intact
+    delivery hashes, decodes and scores its own stream."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+def keep_nothing(patch) -> None:
+    """Every session decodes its own stream: no memo, no intact values."""
+    patch.setattr(session, "_DECODE_MEMO_CAPACITY", 0)
+    patch.setattr(session, "_INTACT_CACHE", ForgetfulCache())
 
 
 class TestCodecKnobKeys:
@@ -176,8 +191,98 @@ def test_threads_share_the_memo_without_losing_entries_or_bounds(
     assert 0 < len(session._DECODE_MEMO) <= 3
 
 
+class TestIntactDeliveries:
+    """A delivery equal to its encode reports values computed once under
+    the encode key; a damaged one decodes its own bytes."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        calls = []
+        real = session.decode_received
+
+        def counting(stream, stream_digest):
+            calls.append(stream_digest)
+            return real(stream, stream_digest)
+
+        monkeypatch.setattr(session, "decode_received", counting)
+        return calls
+
+    @staticmethod
+    def lossless_specs(n: int = 6):
+        template = next(spec for spec in build_fleet(4, 32, DEFAULT_CONFIG)
+                        if spec.loss_rate == 0.0)
+        return [
+            SessionSpec(session_id=100 + i, fleet_seed=4, arrival_vms=0.0,
+                        channel_seed=template.channel_seed + i,
+                        scene_variant=template.scene_variant, loss_rate=0.0)
+            for i in range(n)
+        ]
+
+    def test_intact_deliveries_decode_once(self, decodes, monkeypatch):
+        specs = self.lossless_specs()
+        warm = [execute_session(spec, MODE_FULL, DEFAULT_CONFIG)
+                for spec in specs]
+        assert len(decodes) == 1
+        assert len(session._INTACT_CACHE) == 1
+        reset_encode_cache()
+        keep_nothing(monkeypatch)
+        cold = [execute_session(spec, MODE_FULL, DEFAULT_CONFIG)
+                for spec in specs]
+        assert len(decodes) == 1 + len(specs)
+        assert warm == cold
+
+    def test_damaged_delivery_decodes_its_own_bytes(self, decodes):
+        spec = self.lossless_specs(1)[0]
+        intact = execute_session(spec, MODE_FULL, DEFAULT_CONFIG)
+        damaged = execute_session(spec, MODE_FULL, DEFAULT_CONFIG,
+                                  blackout=((0, 8),))
+        assert damaged.n_unrepaired > 0
+        assert damaged.stream_digest != intact.stream_digest
+        assert decodes == [intact.stream_digest, damaged.stream_digest]
+        assert len(session._INTACT_CACHE) == 1
+
+    def test_reset_drops_intact_values_and_packets(self):
+        from repro.transport.pipeline import _send_half
+
+        execute_session(self.lossless_specs(1)[0], MODE_FULL, DEFAULT_CONFIG)
+        assert session._INTACT_CACHE
+        assert _send_half.cache_info().currsize == 1
+        reset_encode_cache()
+        assert not session._INTACT_CACHE
+        assert _send_half.cache_info().currsize == 0
+
+    def test_threads_fill_equal_values(self, monkeypatch):
+        """Threads racing on a cold entry may each fill it; every thread
+        still reports the values a cold serial run does."""
+        specs = build_fleet(4, 48, DEFAULT_CONFIG)
+        with monkeypatch.context() as patch:
+            keep_nothing(patch)
+            expected = [execute_session(spec, MODE_FULL, DEFAULT_CONFIG)
+                        for spec in specs]
+        reset_encode_cache()
+
+        def worker(offset: int) -> list:
+            return [execute_session(spec, MODE_FULL, DEFAULT_CONFIG)
+                    for spec in specs[offset:] + specs[:offset]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(worker, 6 * i) for i in range(8)]
+                runs = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, run in enumerate(runs):
+            offset = 6 * i
+            assert run == expected[offset:] + expected[:offset]
+        assert len(session._INTACT_CACHE) == len(
+            {spec.scene_variant for spec in specs}
+        )
+
+
 class TestWarmEqualsCold:
-    """Warm memo vs a memo that keeps nothing (every session decodes its
+    """Warm caches vs caches that keep nothing (every session decodes its
     own stream), at pinned seeds."""
 
     @staticmethod
@@ -185,7 +290,7 @@ class TestWarmEqualsCold:
         first = run()
         warm = run()  # every stream is already memoized
         reset_encode_cache()
-        monkeypatch.setattr(session, "_DECODE_MEMO_CAPACITY", 0)
+        keep_nothing(monkeypatch)
         cold = run()
         assert warm == first
         return warm, cold
@@ -262,7 +367,7 @@ def test_published_tables_warm_vs_cold_across_backends(
         )
     ]
     with monkeypatch.context() as patch:
-        patch.setattr(session, "_DECODE_MEMO_CAPACITY", 0)
+        keep_nothing(patch)
         reset_encode_cache()
         cold = publish("cold", "serial", 1)
     assert cold

@@ -187,9 +187,9 @@ class TestCorruptStream:
         from repro.codec import VopDecoder
         from repro.codec.errors import BitstreamError
         from repro.service.config import DEFAULT_CONFIG, MODE_FULL
-        from repro.service.session import _encoded_stream
+        from repro.service.session import _encoding
 
-        encoded = _encoded_stream(0, MODE_FULL, DEFAULT_CONFIG)
+        _, encoded = _encoding(0, MODE_FULL, DEFAULT_CONFIG)
         decoded = VopDecoder().decode_sequence(encoded, tolerate_errors=True)
         assert decoded is not None  # the clean stream decodes
 
